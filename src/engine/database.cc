@@ -90,7 +90,8 @@ void Database::set_exec_threads(int n) {
 }
 
 std::unique_ptr<Session> Database::CreateSession() {
-  return std::unique_ptr<Session>(new Session(this));
+  return std::unique_ptr<Session>(new Session(
+      this, next_session_ordinal_.fetch_add(1, std::memory_order_relaxed)));
 }
 
 StatusOr<int> Database::TableId(std::string_view name) const {
@@ -368,8 +369,7 @@ Status Database::Checkpoint() {
   snapshots_.Release(snapshot_handle);  // chains copied; vacuum may proceed
   OLXP_RETURN_NOT_OK(storage::WriteCheckpoint(profile_.wal_dir, image));
   OLXP_RETURN_NOT_OK(wal_->Flush());
-  wal_->DeleteSegmentsBefore(image.wal_next_seq);
-  return Status::OK();
+  return wal_->DeleteSegmentsBefore(image.wal_next_seq);
 }
 
 }  // namespace olxp::engine

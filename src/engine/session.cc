@@ -384,10 +384,10 @@ sql::ResultSet RenderTrace(const obs::QueryTrace& trace) {
 
 }  // namespace
 
-Session::Session(Database* db)
+Session::Session(Database* db, uint64_t ordinal)
     : db_(db),
       route_rng_state_(0x9e3779b97f4a7c15ULL ^
-                       reinterpret_cast<uint64_t>(this)),
+                       (ordinal * 0xbf58476d1ce4e5b9ULL)),
       trace_level_(db->profile().trace_level) {
   obs::MetricsRegistry& m = db->metrics();
   m_statements_ = m.GetCounter("session.statements");

@@ -126,7 +126,9 @@ class Session {
 
  private:
   friend class Database;
-  explicit Session(Database* db);
+  /// `ordinal` (the session's creation order in `db`) seeds the routing
+  /// LCG, so stochastic routing repeats from run to run.
+  Session(Database* db, uint64_t ordinal);
 
   struct Prepared {
     std::unique_ptr<sql::CompiledStatement> compiled;

@@ -48,49 +48,47 @@ Status MvccTable::InstallVersion(const Row& pk, uint64_t commit_ts,
   if (!deleted) {
     for (size_t i = 0; i < sch.indexes().size(); ++i) {
       Row ikey = sch.ExtractIndexKey(sch.indexes()[i], data);
-      // Avoid duplicate (ikey, pk) pairs: check the narrow equal_range.
-      auto [b, e] = index_entries_[i].equal_range(ikey);
-      bool present = false;
-      for (auto it = b; it != e; ++it) {
-        if (KeyEq()(it->second, pk)) {
-          present = true;
-          break;
-        }
+      // Re-installing a row under an unchanged key finds its entry here
+      // and allocates nothing.
+      auto& idx = index_entries_[i];
+      auto it = idx.lower_bound(IndexProbe(ikey, pk));
+      if (it == idx.end() || idx.key_comp()(IndexProbe(ikey, pk), *it)) {
+        idx.emplace_hint(it, std::move(ikey), pk);
       }
-      if (!present) index_entries_[i].emplace(std::move(ikey), pk);
     }
   }
   chain.versions.push_back(Version{commit_ts, deleted, std::move(data)});
   return Status::OK();
 }
 
-int64_t MvccTable::Scan(uint64_t snapshot_ts, const RowCallback& cb) const {
-  const size_t chunk = scan_chunk_rows_.load(std::memory_order_relaxed);
-  int64_t visited = 0;
-  bool stopped = false;
+template <typename Visit>
+void MvccTable::SweepChunked(const Row* from, size_t chunk,
+                             Visit&& visit) const {
   Row resume;
   bool has_resume = false;
-  // Chunked latch-dropping sweep (same pattern as ForEachCommitted): the
-  // shared lock covers at most `chunk` rows at a time, so InstallVersion
-  // never waits behind a whole-table analytical scan. Per-key snapshot
-  // visibility keeps the merged result consistent across the gaps.
-  while (!stopped) {
+  for (;;) {
     sync::ReaderLock lk(mu_);
-    auto it = has_resume ? rows_.lower_bound(resume) : rows_.begin();
-    size_t n = 0;
-    for (; it != rows_.end() && (chunk == 0 || n < chunk); ++it, ++n) {
-      ++visited;
-      const Version* v = VisibleVersion(it->second, snapshot_ts);
-      if (v == nullptr || v->deleted) continue;
-      if (!cb(v->data)) {
-        stopped = true;
-        break;
-      }
+    auto it = has_resume ? rows_.lower_bound(resume)
+              : from     ? rows_.lower_bound(*from)
+                         : rows_.begin();
+    for (size_t n = 0; it != rows_.end() && (chunk == 0 || n < chunk);
+         ++it, ++n) {
+      if (!visit(it->first, it->second)) return;
     }
-    if (it == rows_.end()) break;
-    resume = it->first;  // first key of the next chunk
+    if (it == rows_.end()) return;
+    resume = it->first;  // first key of the next chunk; the latch drops
     has_resume = true;
   }
+}
+
+int64_t MvccTable::Scan(uint64_t snapshot_ts, const RowCallback& cb) const {
+  int64_t visited = 0;
+  SweepChunked(nullptr, scan_chunk_rows_.load(std::memory_order_relaxed),
+               [&](const Row&, const Chain& chain) {
+                 ++visited;
+                 const Version* v = VisibleVersion(chain, snapshot_ts);
+                 return v == nullptr || v->deleted || cb(v->data);
+               });
   rows_scanned_.fetch_add(static_cast<uint64_t>(visited),
                           std::memory_order_relaxed);
   return visited;
@@ -99,35 +97,17 @@ int64_t MvccTable::Scan(uint64_t snapshot_ts, const RowCallback& cb) const {
 int64_t MvccTable::ScanPkRange(const Row& lo, const Row& hi,
                                uint64_t snapshot_ts,
                                const RowCallback& cb) const {
-  const size_t chunk = scan_chunk_rows_.load(std::memory_order_relaxed);
   int64_t visited = 0;
-  bool stopped = false;
-  Row resume;
-  bool has_resume = false;
-  while (!stopped) {
-    sync::ReaderLock lk(mu_);
-    auto it = has_resume ? rows_.lower_bound(resume) : rows_.lower_bound(lo);
-    size_t n = 0;
-    for (; it != rows_.end() && (chunk == 0 || n < chunk); ++it, ++n) {
-      // Stop once past `hi`; prefix keys compare less than any extension,
-      // so test hi < prefix(pk, hi.size()) — in place, no per-row copy.
-      const Row& pk = it->first;
-      if (ComparePrefix(pk, hi.size(), hi) > 0) {
-        stopped = true;
-        break;
-      }
-      ++visited;
-      const Version* v = VisibleVersion(it->second, snapshot_ts);
-      if (v == nullptr || v->deleted) continue;
-      if (!cb(v->data)) {
-        stopped = true;
-        break;
-      }
-    }
-    if (it == rows_.end()) break;
-    resume = it->first;
-    has_resume = true;
-  }
+  SweepChunked(&lo, scan_chunk_rows_.load(std::memory_order_relaxed),
+               [&](const Row& pk, const Chain& chain) {
+                 // Stop once past `hi`; prefix keys compare less than any
+                 // extension, so test hi < prefix(pk, hi.size()) — in
+                 // place, no per-row copy.
+                 if (ComparePrefix(pk, hi.size(), hi) > 0) return false;
+                 ++visited;
+                 const Version* v = VisibleVersion(chain, snapshot_ts);
+                 return v == nullptr || v->deleted || cb(v->data);
+               });
   rows_scanned_.fetch_add(static_cast<uint64_t>(visited),
                           std::memory_order_relaxed);
   return visited;
@@ -146,7 +126,8 @@ int64_t MvccTable::IndexLookup(int index_id, const Row& key,
   int64_t visited = 0;
   const auto& idx = index_entries_[index_id];
   // Support prefix lookups: [key, key] as prefix range.
-  auto it = idx.lower_bound(key);
+  const Row no_pk;
+  auto it = idx.lower_bound(IndexProbe(key, no_pk));
   for (; it != idx.end(); ++it) {
     const Row& ikey = it->first;
     if (ComparePrefix(ikey, key.size(), key) > 0) break;
@@ -191,25 +172,11 @@ void MvccTable::ForEachCommitted(
                              const Row& data)>& cb) const {
   // Chunked: the checkpoint writer deep-copies every row it visits, and
   // holding the reader lock across a whole large table would stall every
-  // committer's InstallVersion for the duration. Dropping the lock between
-  // chunks is safe because visibility is by snapshot_ts — rows installed
-  // in between carry newer timestamps and stay invisible to this pass.
-  constexpr size_t kChunkRows = 1024;
-  Row resume;
-  bool has_resume = false;
-  for (;;) {
-    sync::ReaderLock lk(mu_);
-    auto it = has_resume ? rows_.lower_bound(resume) : rows_.begin();
-    size_t n = 0;
-    for (; it != rows_.end() && n < kChunkRows; ++it, ++n) {
-      const Version* v = VisibleVersion(it->second, snapshot_ts);
-      if (v == nullptr || v->deleted) continue;
-      if (!cb(it->first, v->commit_ts, v->data)) return;
-    }
-    if (it == rows_.end()) return;
-    resume = it->first;  // first key of the next chunk
-    has_resume = true;
-  }
+  // committer's InstallVersion for the duration.
+  SweepChunked(nullptr, 1024, [&](const Row& pk, const Chain& chain) {
+    const Version* v = VisibleVersion(chain, snapshot_ts);
+    return v == nullptr || v->deleted || cb(pk, v->commit_ts, v->data);
+  });
 }
 
 size_t MvccTable::ApproxRowCount() const {
@@ -233,14 +200,10 @@ size_t MvccTable::IndexEntryCount() const {
 
 size_t MvccTable::EraseIndexEntry(size_t idx, const Row& ikey,
                                   const Row& pk) {
-  auto [b, e] = index_entries_[idx].equal_range(ikey);
-  for (auto it = b; it != e; ++it) {
-    if (KeyEq()(it->second, pk)) {
-      index_entries_[idx].erase(it);
-      return 1;
-    }
-  }
-  return 0;
+  auto it = index_entries_[idx].find(IndexProbe(ikey, pk));
+  if (it == index_entries_[idx].end()) return 0;
+  index_entries_[idx].erase(it);
+  return 1;
 }
 
 VacuumStats MvccTable::VacuumBelow(uint64_t watermark, size_t batch_rows) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "common/status.h"
@@ -106,7 +107,9 @@ class MvccTable {
                       const RowCallback& cb) const;
 
   /// Point lookups through secondary index `index_id` (position in
-  /// schema().indexes()). Appends visible matching rows to `out`; stale
+  /// schema().indexes()); `key` may be a prefix of the index key. Seeks to
+  /// (key, empty pk) in O(log n) — an empty pk sorts before every pk — and
+  /// appends visible matching rows to `out` in (index key, pk) order; stale
   /// index entries are verified against the row and skipped (and physically
   /// purged by VacuumBelow once no snapshot can need them).
   /// Returns number of index entries visited.
@@ -185,8 +188,15 @@ class MvccTable {
   /// Newest version with commit_ts <= ts, or nullptr.
   static const Version* VisibleVersion(const Chain& chain, uint64_t ts);
 
-  /// Erases one (ikey, pk) pair from index `idx` if present. Returns 1 when
-  /// an entry was erased.
+  /// Calls visit(pk, chain) in pk order from `from` (the first row when
+  /// null) until it returns false, dropping the shared latch every `chunk`
+  /// rows (0 = never) as the class comment describes.
+  template <typename Visit>
+  void SweepChunked(const Row* from, size_t chunk, Visit&& visit) const
+      EXCLUDES(mu_);
+
+  /// Erases one (ikey, pk) pair from index `idx` if present, in O(log n).
+  /// Returns 1 when an entry was erased.
   size_t EraseIndexEntry(size_t idx, const Row& ikey, const Row& pk)
       REQUIRES(mu_);
 
@@ -203,10 +213,24 @@ class MvccTable {
       GUARDED_BY(mu_);
   std::atomic<const TableSchema*> schema_ptr_{nullptr};
   std::map<Row, Chain, KeyLess> rows_ GUARDED_BY(mu_);
-  /// One multimap per IndexDef: index key -> primary key. Entries are
-  /// inserted on install, verified (lazily invalidated) on lookup, and
-  /// physically erased by VacuumBelow when the versions backing them go.
-  std::vector<std::multimap<Row, Row, KeyLess>> index_entries_
+  /// (index key, pk) entries; lookups and erases probe with borrowed rows.
+  using IndexEntry = std::pair<Row, Row>;
+  using IndexProbe = std::pair<const Row&, const Row&>;
+  struct IndexEntryLess {  // by index key, then pk; transparent to probes
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      const int c = ComparePrefix(a.first, a.first.size(), b.first);
+      return c != 0 ? c < 0 : KeyLess()(a.second, b.second);
+    }
+  };
+  /// One set per IndexDef, ordered by (index key, pk). Appending the pk
+  /// makes a non-unique index unique, so the install dedup, the vacuum
+  /// erase and the lookup seek are each one O(log n) descent however many
+  /// rows share a key (fibench loads every balance as 1000.0). Entries are
+  /// verified (lazily invalidated) on lookup and erased by VacuumBelow when
+  /// the versions backing them go.
+  std::vector<std::set<IndexEntry, IndexEntryLess>> index_entries_
       GUARDED_BY(mu_);
 
   std::atomic<size_t> scan_chunk_rows_{1024};

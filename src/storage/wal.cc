@@ -361,12 +361,15 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
   return out;
 }
 
-void FsyncDir(const std::string& dir) {
+/// Makes the renames, creations and removals in `dir` durable. A caller
+/// that reports success must not do so over an unsynced directory entry.
+Status FsyncDir(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  if (fd < 0) return Status::Internal("cannot open directory " + dir);
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) return Status::Internal("directory fsync failed: " + dir);
+  return Status::OK();
 }
 
 }  // namespace
@@ -795,7 +798,7 @@ void WalWriter::FlusherLoop() {
   }
 }
 
-void WalWriter::DeleteSegmentsBefore(uint64_t seq) {
+Status WalWriter::DeleteSegmentsBefore(uint64_t seq) {
   sync::MutexLock io(io_mu_);
   auto segments = ListSegments(opts_.dir);
   // A segment is deletable when the NEXT segment starts at or below `seq`
@@ -806,7 +809,7 @@ void WalWriter::DeleteSegmentsBefore(uint64_t seq) {
       fs::remove(segments[i].second, ec);
     }
   }
-  FsyncDir(opts_.dir);
+  return FsyncDir(opts_.dir);
 }
 
 uint64_t WalWriter::next_seq() const {
@@ -897,8 +900,7 @@ Status WriteCheckpoint(const std::string& dir, const CheckpointImage& image) {
   ::close(fd);
   fs::rename(tmp, final_path, ec);
   if (ec) return Status::Internal("checkpoint rename failed: " + ec.message());
-  FsyncDir(dir);
-  return Status::OK();
+  return FsyncDir(dir);
 }
 
 StatusOr<CheckpointImage> ReadCheckpoint(const std::string& dir) {

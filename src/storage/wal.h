@@ -151,8 +151,8 @@ class WalWriter {
 
   /// Deletes segment files whose every frame has seq < `seq` (called after
   /// a checkpoint covering that prefix landed). The active segment is never
-  /// deleted.
-  void DeleteSegmentsBefore(uint64_t seq) EXCLUDES(io_mu_);
+  /// deleted. Fails when the directory cannot be synced afterwards.
+  Status DeleteSegmentsBefore(uint64_t seq) EXCLUDES(io_mu_);
 
   /// Next sequence number to be assigned.
   uint64_t next_seq() const EXCLUDES(mu_);
@@ -254,7 +254,8 @@ struct CheckpointImage {
   std::vector<CheckpointTable> tables;  // creation order (FK refs resolve)
 };
 
-/// Atomically replaces the checkpoint in `dir` (write tmp, fsync, rename).
+/// Atomically replaces the checkpoint in `dir` (write tmp, fsync, rename,
+/// fsync the directory). Fails unless every step, the last included, did.
 Status WriteCheckpoint(const std::string& dir, const CheckpointImage& image);
 
 /// Loads the checkpoint from `dir`; NotFound when none exists. A corrupt

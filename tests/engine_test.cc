@@ -64,6 +64,52 @@ TEST(Session, RoutingRules) {
   EXPECT_EQ(s->last_route(), RoutedStore::kRowStore);
 }
 
+TEST(Session, StochasticRoutingRepeatsAcrossDatabases) {
+  // With olap_row_fraction > 0 the router draws per statement from a
+  // per-session LCG. Its seed is the session's creation order, so the same
+  // session and statement sequence routes identically in every database,
+  // whatever addresses the sessions happen to get.
+  EngineProfile p = EngineProfile::TiDbLike();
+  p.olap_row_fraction = 0.5;
+  p.cost_based_routing = false;
+  p.replication_lag_micros = 0;
+  Database db1(p), db2(p);
+  // Every session of both databases stays alive to the end, so no session
+  // reuses another's memory.
+  std::vector<std::unique_ptr<Session>> sessions;
+  auto open = [&](Database& db) {
+    for (int i = 0; i < 3; ++i) {
+      sessions.push_back(db.CreateSession());
+      sessions.back()->set_charging_enabled(false);
+    }
+    Session* ddl = sessions[sessions.size() - 3].get();
+    EXPECT_TRUE(ddl->Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)").ok());
+    EXPECT_TRUE(ddl->Execute("INSERT INTO t VALUES (1, 2), (3, 4)").ok());
+    db.WaitReplicaCaughtUp();
+    return sessions.size() - 2;  // the two querying sessions start here
+  };
+  const size_t first1 = open(db1), first2 = open(db2);
+  auto run = [&](size_t first) {
+    std::vector<RoutedStore> routes;
+    for (int i = 0; i < 64; ++i) {
+      Session* s = sessions[first + (i % 3 == 0 ? 0 : 1)].get();
+      EXPECT_TRUE(s->Execute("SELECT SUM(b) FROM t").ok());
+      routes.push_back(s->last_route());
+    }
+    return routes;
+  };
+  EXPECT_EQ(run(first1), run(first2));
+  auto overrides = [](Database& db) {
+    return db.metrics()
+        .GetCounter("router.stochastic_overrides_to_row")
+        ->Value();
+  };
+  EXPECT_EQ(overrides(db1), overrides(db2));
+  // The draw really is stochastic: both stores served some statements.
+  EXPECT_GT(overrides(db1), 0);
+  EXPECT_LT(overrides(db1), 64);
+}
+
 TEST(Session, PreparedCacheEvictsLeastRecentlyUsed) {
   EngineProfile p = EngineProfile::MemSqlLike();
   p.prepared_statement_cache_capacity = 8;

@@ -459,6 +459,20 @@ TEST_F(RecoveryTest, CheckpointWithoutDurabilityFails) {
   EXPECT_EQ(db.Checkpoint().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(RecoveryTest, SegmentDeletionFailsWhenDirectoryCannotBeSynced) {
+  std::string dir = MakeWalDir();
+  storage::WalOptions opts;
+  opts.dir = dir;
+  opts.mode = DurabilityMode::kGroup;
+  auto writer = storage::WalWriter::Open(opts, 1);
+  ASSERT_TRUE(writer.ok());
+  EXPECT_TRUE((*writer)->DeleteSegmentsBefore(1).ok());
+  // Once the directory is gone it cannot be opened for the fsync that
+  // makes the removals durable, so the call must not report success.
+  fs::remove_all(dir);
+  EXPECT_EQ((*writer)->DeleteSegmentsBefore(1).code(), StatusCode::kInternal);
+}
+
 TEST_F(RecoveryTest, SyncModeRoundTrips) {
   std::string dir = MakeWalDir();
   std::string image;

@@ -200,6 +200,91 @@ TEST(MvccTable, AddIndexBackfills) {
   EXPECT_EQ(out.size(), 2u);  // keys 1, 3 (5 deleted)
 }
 
+// fibench loads every balance as one value, so its balance indexes hold
+// thousands of rows under one key. Index maintenance must stay exact there.
+constexpr int kSameKeyRows = 5000;
+
+std::vector<int64_t> LookupPks(const MvccTable& t, int index_id,
+                               const Row& key) {
+  std::vector<Row> out;
+  t.IndexLookup(index_id, key, 1u << 30, &out);
+  std::vector<int64_t> pks;
+  for (const Row& r : out) pks.push_back(r[0].AsInt());
+  return pks;
+}
+
+std::vector<int64_t> PkRange(int64_t from, int64_t to) {
+  std::vector<int64_t> pks;
+  for (int64_t k = from; k < to; ++k) pks.push_back(k);
+  return pks;
+}
+
+TEST(MvccTable, SameKeyIndexDeduplicatesReinstalls) {
+  TableSchema schema = KvSchema();
+  ASSERT_TRUE(schema.AddIndex({"by_n", {2}, false}).ok());
+  MvccTable t(0, schema);
+  for (int k = 0; k < kSameKeyRows; ++k) {
+    ASSERT_TRUE(t.InstallVersion({Value::Int(k)}, 1, false, KvRow(k, "a", 7))
+                    .ok());
+  }
+  ASSERT_EQ(t.IndexEntryCount(), static_cast<size_t>(kSameKeyRows));
+  // A second version under the unchanged key adds no (key, pk) entry.
+  for (int k = 0; k < kSameKeyRows; ++k) {
+    ASSERT_TRUE(t.InstallVersion({Value::Int(k)}, 2, false, KvRow(k, "b", 7))
+                    .ok());
+  }
+  EXPECT_EQ(t.IndexEntryCount(), static_cast<size_t>(kSameKeyRows));
+  EXPECT_EQ(LookupPks(t, 0, {Value::Int(7)}), PkRange(0, kSameKeyRows));
+  EXPECT_TRUE(LookupPks(t, 0, {Value::Int(6)}).empty());
+  EXPECT_TRUE(LookupPks(t, 0, {Value::Int(8)}).empty());
+}
+
+TEST(MvccTable, PrefixLookupOnIndexWithRepeatingFirstColumn) {
+  // account(custid PK, name) with an index on (name, custid): the shape of
+  // fibench's account index, whose first column repeats across rows.
+  TableSchema schema("account",
+                     {{"custid", ValueType::kInt, false},
+                      {"name", ValueType::kString, false}},
+                     {0});
+  ASSERT_TRUE(schema.AddIndex({"by_name", {1, 0}, false}).ok());
+  MvccTable t(0, schema);
+  const std::vector<std::string> names = {"ann", "bob", "cy"};
+  for (int k = 0; k < kSameKeyRows; ++k) {
+    ASSERT_TRUE(t.InstallVersion({Value::Int(k)}, 1, false,
+                                 {Value::Int(k), Value::String(names[k % 3])})
+                    .ok());
+  }
+  std::vector<int64_t> bobs;
+  for (int k = 1; k < kSameKeyRows; k += 3) bobs.push_back(k);
+  EXPECT_EQ(LookupPks(t, 0, {Value::String("bob")}), bobs);
+  EXPECT_EQ(LookupPks(t, 0, {Value::String("bob"), Value::Int(4)}),
+            std::vector<int64_t>{4});
+  EXPECT_TRUE(LookupPks(t, 0, {Value::String("bob"), Value::Int(5)}).empty());
+  EXPECT_TRUE(LookupPks(t, 0, {Value::String("bo")}).empty());
+}
+
+TEST(MvccTable, NullIndexedValuesAreIndexedAndErased) {
+  TableSchema schema = KvSchema();
+  ASSERT_TRUE(schema.AddIndex({"by_n", {2}, false}).ok());
+  MvccTable t(0, schema);
+  for (int k = 0; k < 100; ++k) {
+    Row row = {Value::Int(k), Value::String("v"), Value::Null()};
+    ASSERT_TRUE(t.InstallVersion({Value::Int(k)}, 1, false, row).ok());
+  }
+  EXPECT_EQ(LookupPks(t, 0, {Value::Null()}), PkRange(0, 100));
+  // Move the first half to a non-NULL value; the vacuum drops their NULL
+  // entries and keeps the others.
+  for (int k = 0; k < 50; ++k) {
+    ASSERT_TRUE(t.InstallVersion({Value::Int(k)}, 2, false, KvRow(k, "v", 1))
+                    .ok());
+  }
+  EXPECT_EQ(t.IndexEntryCount(), 150u);
+  EXPECT_EQ(t.VacuumBelow(2, 16).index_entries_removed, 50u);
+  EXPECT_EQ(t.IndexEntryCount(), 100u);
+  EXPECT_EQ(LookupPks(t, 0, {Value::Null()}), PkRange(50, 100));
+  EXPECT_EQ(LookupPks(t, 0, {Value::Int(1)}), PkRange(0, 50));
+}
+
 TEST(MvccTable, InstallVersionRejectsNonMonotoneCommitTs) {
   MvccTable t(0, KvSchema());
   Row pk = {Value::Int(1)};

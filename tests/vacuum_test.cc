@@ -12,6 +12,7 @@
 
 #include "engine/database.h"
 #include "engine/session.h"
+#include "storage/table.h"
 #include "storage/vacuum.h"
 
 namespace olxp::engine {
@@ -209,6 +210,48 @@ TEST(Vacuum, StaleIndexEntriesPurgedAfterUpdateAndDelete) {
   db.RunVacuum();
   EXPECT_EQ(IndexEntries(db, "t"), 0u);
   EXPECT_EQ(RowCount(db, "t"), 0u);
+}
+
+TEST(Vacuum, SameKeyIndexEntriesPurgedExactly) {
+  // Every row starts under one index key (fibench's uniform balances);
+  // moving half of them away leaves exactly that many stale entries, and
+  // the vacuum must find each one among thousands of equal keys.
+  constexpr int kRows = 6000;
+  storage::TableSchema schema("acct",
+                              {{"id", ValueType::kInt, false},
+                               {"bal", ValueType::kDouble, false}},
+                              {0});
+  ASSERT_TRUE(schema.AddIndex({"by_bal", {1}, false}).ok());
+  storage::MvccTable t(0, schema);
+  for (int k = 0; k < kRows; ++k) {
+    ASSERT_TRUE(t.InstallVersion({Value::Int(k)}, 1, false,
+                                 {Value::Int(k), Value::Double(1000.0)})
+                    .ok());
+  }
+  for (int k = 0; k < kRows; k += 2) {
+    ASSERT_TRUE(t.InstallVersion({Value::Int(k)}, 2, false,
+                                 {Value::Int(k), Value::Double(0.0)})
+                    .ok());
+  }
+  EXPECT_EQ(t.IndexEntryCount(), static_cast<size_t>(kRows + kRows / 2));
+  storage::VacuumStats stats = t.VacuumBelow(2, 512);
+  EXPECT_EQ(stats.index_entries_removed, static_cast<uint64_t>(kRows / 2));
+  EXPECT_EQ(stats.versions_removed, static_cast<uint64_t>(kRows / 2));
+  EXPECT_EQ(t.IndexEntryCount(), static_cast<size_t>(kRows));
+
+  auto pks = [&](double bal) {
+    std::vector<Row> out;
+    t.IndexLookup(0, {Value::Double(bal)}, 2, &out);
+    std::vector<int64_t> ids;
+    for (const Row& r : out) ids.push_back(r[0].AsInt());
+    return ids;
+  };
+  std::vector<int64_t> odd, even;
+  for (int k = 0; k < kRows; ++k) (k % 2 ? odd : even).push_back(k);
+  EXPECT_EQ(pks(1000.0), odd);
+  EXPECT_EQ(pks(0.0), even);
+  // A second pass has nothing left to reclaim.
+  EXPECT_EQ(t.VacuumBelow(2, 512).index_entries_removed, 0u);
 }
 
 TEST(Vacuum, BoundedGrowthUnderSustainedChurn) {
