@@ -171,27 +171,53 @@ void BM_PointSelectEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_PointSelectEndToEnd);
 
-void BM_AggregateQueryEndToEnd(benchmark::State& state) {
+/// Row-store analytical queries on the unified store (the interpreter):
+/// `narrow` groups 20k three-column rows into 16 groups; `wide` runs the
+/// same query over rows that also carry six CHAR(24) columns the query
+/// never reads; `topk` groups into 10k groups and keeps the top 10.
+enum class AggShape { kNarrow, kWide, kTopK };
+
+void BM_AggregateQueryEndToEnd(benchmark::State& state, AggShape shape) {
+  constexpr int kRows = 20000;
   engine::Database db(engine::EngineProfile::MemSqlLike());
   auto session = db.CreateSession();
   session->set_charging_enabled(false);
+  const bool wide = shape == AggShape::kWide;
   (void)session->Execute(
-      "CREATE TABLE t (k INT PRIMARY KEY, grp INT, x DOUBLE)");
+      wide ? "CREATE TABLE t (k INT PRIMARY KEY, grp INT, x DOUBLE, "
+             "c1 CHAR(24), c2 CHAR(24), c3 CHAR(24), c4 CHAR(24), "
+             "c5 CHAR(24), c6 CHAR(24))"
+           : "CREATE TABLE t (k INT PRIMARY KEY, grp INT, x DOUBLE)");
+  const int groups = shape == AggShape::kTopK ? 10000 : 16;
   Rng rng(1);
-  for (int i = 0; i < 20000; ++i) {
+  for (int i = 0; i < kRows; ++i) {
+    std::vector<Value> row = {Value::Int(i), Value::Int(i % groups),
+                              Value::Double(rng.NextDouble())};
+    if (wide) {
+      for (int c = 0; c < 6; ++c) {
+        row.push_back(Value::String(std::string(24, static_cast<char>(
+                                                        'a' + (i + c) % 26))));
+      }
+    }
     (void)session->Execute(
-        "INSERT INTO t VALUES (?, ?, ?)",
-        {Value::Int(i), Value::Int(i % 16), Value::Double(rng.NextDouble())});
+        wide ? "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+             : "INSERT INTO t VALUES (?, ?, ?)",
+        row);
   }
+  const char* sql = shape == AggShape::kTopK
+                        ? "SELECT grp, SUM(x) AS s FROM t GROUP BY grp "
+                          "ORDER BY s DESC LIMIT 10"
+                        : "SELECT grp, COUNT(*), SUM(x), AVG(x) FROM t "
+                          "GROUP BY grp ORDER BY grp";
   for (auto _ : state) {
-    auto rs = session->Execute(
-        "SELECT grp, COUNT(*), SUM(x), AVG(x) FROM t GROUP BY grp "
-        "ORDER BY grp");
+    auto rs = session->Execute(sql);
     benchmark::DoNotOptimize(rs);
   }
-  state.SetItemsProcessed(state.iterations() * 20000);
+  state.SetItemsProcessed(state.iterations() * kRows);
 }
-BENCHMARK(BM_AggregateQueryEndToEnd);
+BENCHMARK_CAPTURE(BM_AggregateQueryEndToEnd, narrow, AggShape::kNarrow);
+BENCHMARK_CAPTURE(BM_AggregateQueryEndToEnd, wide, AggShape::kWide);
+BENCHMARK_CAPTURE(BM_AggregateQueryEndToEnd, topk, AggShape::kTopK);
 
 }  // namespace
 }  // namespace olxp

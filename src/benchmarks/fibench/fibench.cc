@@ -213,7 +213,7 @@ Status FQ1(engine::Session& s, Rng& rng) {
 }
 
 /// Q2: total wealth distribution (join + aggregate + arithmetic).
-Status FQ2(engine::Session& s, Rng& rng) {
+Status FQ2(engine::Session& s, Rng&) {
   auto rs = Query(
       s, "SELECT COUNT(*), SUM(sv.bal + ck.bal), AVG(sv.bal + ck.bal), "
          "MIN(sv.bal + ck.bal), MAX(sv.bal + ck.bal) FROM saving sv "
@@ -222,14 +222,14 @@ Status FQ2(engine::Session& s, Rng& rng) {
 }
 
 /// Q3: top savers (Order-By heavy).
-Status FQ3(engine::Session& s, Rng& rng) {
+Status FQ3(engine::Session& s, Rng&) {
   auto rs = Query(
       s, "SELECT custid, bal FROM saving ORDER BY bal DESC LIMIT 10");
   return rs.ok() ? Status::OK() : rs.status();
 }
 
 /// Q4: overdraft exposure (sub-selection).
-Status FQ4(engine::Session& s, Rng& rng) {
+Status FQ4(engine::Session& s, Rng&) {
   auto rs = Query(
       s, "SELECT COUNT(*) FROM checking WHERE bal < 0 AND custid IN "
          "(SELECT custid FROM saving WHERE bal < 100)");

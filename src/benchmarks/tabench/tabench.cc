@@ -265,7 +265,7 @@ Status DeleteCallForwardingBody(engine::Session& s, Rng& rng,
 // --------------------------- analytical queries --------------------------
 
 /// Q1: active special-facility ratio per type.
-Status TQ1(engine::Session& s, Rng& rng) {
+Status TQ1(engine::Session& s, Rng&) {
   auto rs = Query(
       s, "SELECT sf_type, COUNT(*), SUM(is_active), AVG(is_active) FROM "
          "special_facility GROUP BY sf_type ORDER BY sf_type");
@@ -273,7 +273,7 @@ Status TQ1(engine::Session& s, Rng& rng) {
 }
 
 /// Q2: subscriber density per VLR location band.
-Status TQ2(engine::Session& s, Rng& rng) {
+Status TQ2(engine::Session& s, Rng&) {
   auto rs = Query(
       s, "SELECT vlr_location / 8192, COUNT(*) FROM subscriber "
          "GROUP BY vlr_location / 8192 ORDER BY 1");
@@ -282,7 +282,7 @@ Status TQ2(engine::Session& s, Rng& rng) {
 
 /// Q3: Start Time Query — average call-forwarding start time (the paper's
 /// load-forecasting example, arithmetic included).
-Status TQ3(engine::Session& s, Rng& rng) {
+Status TQ3(engine::Session& s, Rng&) {
   auto rs = Query(
       s, "SELECT AVG(start_time), AVG(end_time - start_time), COUNT(*) "
          "FROM call_forwarding");
@@ -290,7 +290,7 @@ Status TQ3(engine::Session& s, Rng& rng) {
 }
 
 /// Q4: access-data aggregates joined with subscribers.
-Status TQ4(engine::Session& s, Rng& rng) {
+Status TQ4(engine::Session& s, Rng&) {
   auto rs = Query(
       s, "SELECT ai.ai_type, COUNT(*), AVG(ai.data1 + ai.data2) FROM "
          "access_info ai JOIN subscriber su ON su.s_id = ai.s_id "
@@ -299,7 +299,7 @@ Status TQ4(engine::Session& s, Rng& rng) {
 }
 
 /// Q5: forwarding coverage per facility type (join + sub-selection).
-Status TQ5(engine::Session& s, Rng& rng) {
+Status TQ5(engine::Session& s, Rng&) {
   auto rs = Query(
       s, "SELECT sf.sf_type, COUNT(*) FROM special_facility sf WHERE "
          "sf.is_active = 1 AND sf.s_id IN (SELECT s_id FROM "

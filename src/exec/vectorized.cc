@@ -4,7 +4,6 @@
 #include <memory>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -14,19 +13,23 @@
 #include "exec/vec.h"
 #include "exec/vexpr.h"
 #include "sql/bound_plan.h"
+#include "sql/sink.h"
 
 namespace olxp::exec {
 
 namespace {
 
 using sql::AggAccum;
+using sql::AggGroup;
 using sql::BoundExpr;
 using sql::BoundOrderItem;
 using sql::BoundSelect;
+using sql::PendingRow;
 using sql::TableStep;
 
 /// Accumulates a whole argument vector into one aggregate accumulator with
-/// typed inner loops; min/max merge as Values once per chunk, not per row.
+/// typed inner loops; min/max (MIN/MAX only) merge as Values once per
+/// chunk, not per row.
 void AccumulateVec(AggAccum* acc, const Vec& v) {
   const size_t n = v.n;
   if (n == 0 || v.type == ValueType::kNull) return;
@@ -47,13 +50,10 @@ void AccumulateVec(AggAccum* acc, const Vec& v) {
         hi = std::max(hi, x);
       }
     }
-    if (has) {
-      Value vlo = v.type == ValueType::kTimestamp ? Value::Timestamp(lo)
-                                                  : Value::Int(lo);
-      Value vhi = v.type == ValueType::kTimestamp ? Value::Timestamp(hi)
-                                                  : Value::Int(hi);
-      if (acc->min.is_null() || vlo.Compare(acc->min) < 0) acc->min = vlo;
-      if (acc->max.is_null() || vhi.Compare(acc->max) > 0) acc->max = vhi;
+    if (has && acc->extremes) {
+      const bool ts = v.type == ValueType::kTimestamp;
+      acc->AddExtreme(ts ? Value::Timestamp(lo) : Value::Int(lo));
+      acc->AddExtreme(ts ? Value::Timestamp(hi) : Value::Int(hi));
     }
     return;
   }
@@ -74,10 +74,9 @@ void AccumulateVec(AggAccum* acc, const Vec& v) {
         hi = std::max(hi, x);
       }
     }
-    if (has) {
-      Value vlo = Value::Double(lo), vhi = Value::Double(hi);
-      if (acc->min.is_null() || vlo.Compare(acc->min) < 0) acc->min = vlo;
-      if (acc->max.is_null() || vhi.Compare(acc->max) > 0) acc->max = vhi;
+    if (has && acc->extremes) {
+      acc->AddExtreme(Value::Double(lo));
+      acc->AddExtreme(Value::Double(hi));
     }
     return;
   }
@@ -91,31 +90,17 @@ void AccumulateVec(AggAccum* acc, const Vec& v) {
     if (lo == nullptr || s < *lo) lo = &s;
     if (hi == nullptr || *hi < s) hi = &s;
   }
-  if (lo != nullptr) {
-    Value vlo = Value::String(*lo), vhi = Value::String(*hi);
-    if (acc->min.is_null() || vlo.Compare(acc->min) < 0) acc->min = vlo;
-    if (acc->max.is_null() || vhi.Compare(acc->max) > 0) acc->max = vhi;
+  if (lo != nullptr && acc->extremes) {
+    acc->AddExtreme(Value::String(*lo));
+    acc->AddExtreme(Value::String(*hi));
   }
 }
-
-/// One aggregation group (the global aggregate is a single implicit group).
-/// Alongside the probing structures (group_index / int_groups) each group
-/// captures its own key at creation, so per-morsel partial states can be
-/// merged without re-deriving keys from the maps.
-struct VGroup {
-  Row repr;  ///< representative input tuple (first row of the group)
-  std::vector<AggAccum> accums;
-  int64_t star_count = 0;
-  Row key;               ///< group-key values (row-keyed sinks)
-  int64_t ikey = 0;      ///< single-int-key fast path
-  bool null_key = false; ///< the single key was NULL
-};
 
 /// Accumulates one argument vector into per-group accumulators with typed
 /// inner loops (no per-row Value boxing). A given expression always yields
 /// one payload family, so comparing typed values against the accumulator's
 /// current min/max Value is exact.
-void AccumulateGrouped(std::vector<VGroup>& groups,
+void AccumulateGrouped(std::vector<AggGroup>& groups,
                        const std::vector<uint32_t>& gidx, size_t a,
                        const Vec& v) {
   const size_t n = v.n;
@@ -129,6 +114,7 @@ void AccumulateGrouped(std::vector<VGroup>& groups,
       ++acc.count;
       acc.AddInt(x);
       acc.AddDouble(static_cast<double>(x));
+      if (!acc.extremes) continue;
       // AsInt on a kDouble extreme would round; an expression's payload can
       // flip family between chunks when a branch is all-NULL in one chunk,
       // so use the exact Value comparison whenever a double extreme is
@@ -159,6 +145,7 @@ void AccumulateGrouped(std::vector<VGroup>& groups,
       ++acc.count;
       acc.any_double = true;
       acc.AddDouble(x);
+      if (!acc.extremes) continue;
       if (acc.min.is_null() || x < acc.min.AsDouble()) {
         acc.min = Value::Double(x);
       }
@@ -172,11 +159,6 @@ void AccumulateGrouped(std::vector<VGroup>& groups,
     if (!v.null_at(i)) groups[gidx[i]].accums[a].Add(v.value_at(i));
   }
 }
-
-struct PendingRow {
-  Row out;
-  Row order_keys;
-};
 
 std::vector<ValueType> SchemaTypes(const storage::TableSchema& schema) {
   std::vector<ValueType> types;
@@ -192,11 +174,7 @@ std::vector<ValueType> SchemaTypes(const storage::TableSchema& schema) {
 /// tuples exactly regardless of which lane ran which morsel.
 struct SinkState {
   std::vector<PendingRow> pending;
-  std::vector<VGroup> groups;
-  std::unordered_map<Row, uint32_t, storage::KeyHash, storage::KeyEq>
-      group_index;
-  std::unordered_map<int64_t, uint32_t> int_groups;
-  uint32_t null_group = UINT32_MAX;
+  sql::GroupTable groups;
   // DISTINCT dedup by value (same semantics as the interpreter's buckets).
   // Every consumer dedups into its own state (global for the serial scan,
   // per-morsel for parallel partials); the combine dedups once more across
@@ -299,72 +277,24 @@ class VecSink {
       }
       return;
     }
-    if (group_exprs_.empty()) {
-      if (src.groups.empty()) return;
-      if (dst->groups.empty()) {
-        dst->groups = std::move(src.groups);
-        return;
-      }
-      VGroup& d = dst->groups[0];
-      const VGroup& s = src.groups[0];
-      d.star_count += s.star_count;
-      for (size_t a = 0; a < d.accums.size(); ++a) {
-        d.accums[a].MergeFrom(s.accums[a]);
-      }
-      return;
-    }
-    for (VGroup& g : src.groups) {
-      uint32_t tgt = UINT32_MAX;
-      bool fresh = false;
-      const auto next = static_cast<uint32_t>(dst->groups.size());
-      if (single_int_key_) {
-        if (g.null_key) {
-          if (dst->null_group == UINT32_MAX) {
-            dst->null_group = next;
-            fresh = true;
-          } else {
-            tgt = dst->null_group;
-          }
-        } else {
-          auto [it, inserted] = dst->int_groups.try_emplace(g.ikey, next);
-          if (inserted) {
-            fresh = true;
-          } else {
-            tgt = it->second;
-          }
-        }
-      } else {
-        auto [it, inserted] = dst->group_index.try_emplace(g.key, next);
-        if (inserted) {
-          fresh = true;
-        } else {
-          tgt = it->second;
-        }
-      }
-      if (fresh) {
-        dst->groups.push_back(std::move(g));
-        continue;
-      }
-      VGroup& d = dst->groups[tgt];
-      d.star_count += g.star_count;
-      for (size_t a = 0; a < d.accums.size(); ++a) {
-        d.accums[a].MergeFrom(g.accums[a]);
-      }
-    }
+    dst->groups.Merge(std::move(src.groups));
   }
 
-  StatusOr<sql::ResultSet> Finish(SinkState&& st) const {
-    // ----- aggregate finalization: HAVING, projection, order keys -----
+  /// Finalizes groups (HAVING, projection, order keys), then ORDER BY /
+  /// LIMIT through the helper shared with the interpreter, which also
+  /// appends the "order" and "emit" trace ops when `trace` is set.
+  StatusOr<sql::ResultSet> Finish(SinkState&& st,
+                                  obs::QueryTrace* trace) const {
     if (plan_.aggregate_mode) {
-      if (st.groups.empty() && plan_.group_by.empty()) {
+      if (st.groups.size() == 0 && plan_.group_by.empty()) {
         // Global aggregate over empty input still yields one row.
-        VGroup g;
+        bool created = false;
+        AggGroup& g = st.groups[st.groups.Global(&created)];
         g.repr.assign(plan_.total_slots, Value::Null());
-        g.accums.resize(plan_.aggs.size());
-        st.groups.push_back(std::move(g));
+        g.accums = sql::NewAccums(plan_.aggs);
       }
-      for (const VGroup& g : st.groups) {
-        std::vector<Value> agg_values(plan_.aggs.size());
+      std::vector<Value> agg_values(plan_.aggs.size());
+      for (const AggGroup& g : st.groups.groups()) {
         for (size_t a = 0; a < plan_.aggs.size(); ++a) {
           agg_values[a] =
               g.accums[a].Result(plan_.aggs[a].fn, g.star_count);
@@ -397,28 +327,9 @@ class VecSink {
         st.pending.push_back(std::move(pr));
       }
     }
-
-    // ----- sort / limit / emit (identical to the interpreter) -----
-    if (!plan_.order_by.empty()) {
-      std::stable_sort(st.pending.begin(), st.pending.end(),
-                       [&](const PendingRow& a, const PendingRow& b) {
-                         for (size_t i = 0; i < plan_.order_by.size(); ++i) {
-                           int c = a.order_keys[i].Compare(b.order_keys[i]);
-                           if (c != 0) {
-                             return plan_.order_by[i].desc ? c > 0 : c < 0;
-                           }
-                         }
-                         return false;
-                       });
-    }
     sql::ResultSet rs;
     rs.column_names = plan_.column_names;
-    size_t n = st.pending.size();
-    if (plan_.limit >= 0) n = std::min(n, static_cast<size_t>(plan_.limit));
-    rs.rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      rs.rows.push_back(std::move(st.pending[i].out));
-    }
+    rs.rows = sql::OrderAndLimit(std::move(st.pending), plan_, trace);
     rs.affected_rows = 0;
     return rs;
   }
@@ -479,23 +390,15 @@ class VecSink {
                                   const Sel& sel) const {
     // Global aggregate: one implicit group. The representative tuple is
     // the first selected row (projections may reference raw slots).
-    if (st->groups.empty()) {
-      VGroup g;
-      g.repr.resize(repr_cols_);
-      for (int c = 0; c < repr_cols_; ++c) {
-        if (needed_ == nullptr || (*needed_)[c]) {
-          g.repr[c] = chunk.value_at(c, sel[0]);
-        }
-      }
-      g.accums.resize(plan_.aggs.size());
-      st->groups.push_back(std::move(g));
-    }
-    st->groups[0].star_count += static_cast<int64_t>(sel.size());
+    bool created = false;
+    AggGroup& g = st->groups[st->groups.Global(&created)];
+    if (created) InitGroup(&g, chunk, sel[0]);
+    g.star_count += static_cast<int64_t>(sel.size());
     for (size_t a = 0; a < agg_args_.size(); ++a) {
       if (!agg_args_[a].has_arg) continue;  // COUNT(*): star_count only
       auto v = EvalVec(agg_args_[a].arg, chunk, sel);
       if (!v.ok()) return v.status();
-      AccumulateVec(&st->groups[0].accums[a], *v);
+      AccumulateVec(&g.accums[a], *v);
     }
     return true;
   }
@@ -510,66 +413,49 @@ class VecSink {
       if (!v.ok()) return v.status();
       kvecs.push_back(std::move(v).value());
     }
-    auto new_group = [&](size_t row) -> uint32_t {
-      uint32_t g = static_cast<uint32_t>(st->groups.size());
-      VGroup grp;
-      grp.repr.resize(repr_cols_);
-      for (int c = 0; c < repr_cols_; ++c) {
-        if (needed_ == nullptr || (*needed_)[c]) {
-          grp.repr[c] = chunk.value_at(c, row);
-        }
-      }
-      grp.accums.resize(plan_.aggs.size());
-      st->groups.push_back(std::move(grp));
-      return g;
-    };
-
+    sql::GroupTable& groups = st->groups;
     std::vector<uint32_t> gidx(sel.size());
+    bool created = false;
     if (single_int_key_) {
       const Vec& kv = kvecs[0];
       for (size_t i = 0; i < sel.size(); ++i) {
-        uint32_t g;
-        if (kv.null_at(i)) {
-          if (st->null_group == UINT32_MAX) {
-            st->null_group = new_group(sel[i]);
-            st->groups.back().null_key = true;
-          }
-          g = st->null_group;
-        } else {
-          int64_t x = kv.int_at(i);
-          auto [it, inserted] = st->int_groups.try_emplace(x, 0);
-          if (inserted) {
-            it->second = new_group(sel[i]);
-            st->groups.back().ikey = x;
-          }
-          g = it->second;
-        }
-        st->groups[g].star_count++;
-        gidx[i] = g;
+        const bool null = kv.null_at(i);
+        gidx[i] = groups.FindInt(null ? 0 : kv.int_at(i), null, &created);
+        if (created) InitGroup(&groups[gidx[i]], chunk, sel[i]);
       }
     } else {
-      Row key;
+      Row key(kvecs.size());
       for (size_t i = 0; i < sel.size(); ++i) {
-        key.clear();
-        key.reserve(kvecs.size());
-        for (const Vec& kv : kvecs) key.push_back(kv.value_at(i));
-        auto [it, inserted] = st->group_index.try_emplace(key, 0);
-        if (inserted) {
-          it->second = new_group(sel[i]);
-          st->groups.back().key = it->first;
+        for (size_t k = 0; k < kvecs.size(); ++k) {
+          key[k] = kvecs[k].value_at(i);
         }
-        uint32_t g = it->second;
-        st->groups[g].star_count++;
-        gidx[i] = g;
+        gidx[i] = groups.Find(
+            key.size(), [&](size_t k) -> const Value& { return key[k]; },
+            &created);
+        if (created) InitGroup(&groups[gidx[i]], chunk, sel[i]);
       }
     }
+    for (uint32_t g : gidx) groups[g].star_count++;
     for (size_t a = 0; a < agg_args_.size(); ++a) {
       if (!agg_args_[a].has_arg) continue;
       auto v = EvalVec(agg_args_[a].arg, chunk, sel);
       if (!v.ok()) return v.status();
-      AccumulateGrouped(st->groups, gidx, a, *v);
+      AccumulateGrouped(groups.groups(), gidx, a, *v);
     }
     return true;
+  }
+
+  /// Fills a new group's representative (chunk row `row`, needed slots
+  /// only) and fresh accumulators.
+  void InitGroup(AggGroup* g, const storage::ColumnChunkView& chunk,
+                 size_t row) const {
+    g->repr.resize(repr_cols_);
+    for (int c = 0; c < repr_cols_; ++c) {
+      if (needed_ == nullptr || (*needed_)[c]) {
+        g->repr[c] = chunk.value_at(c, row);
+      }
+    }
+    g->accums = sql::NewAccums(plan_.aggs);
   }
 
   const BoundSelect& plan_;
@@ -637,11 +523,10 @@ void TraceScanOps(obs::QueryTrace* trace, int table_id, bool has_filters,
   }
 }
 
-/// Appends the sink-side operators (aggregate/project, order, emit) given
-/// the pre-Finish sink cardinality and the final result.
-void TraceSinkOps(obs::QueryTrace* trace, const BoundSelect& plan,
-                  int64_t rows_in, int64_t sink_rows, int64_t consume_ns,
-                  int64_t finish_ns, const sql::ResultSet& rs) {
+/// Appends the aggregate/project operator given the pre-Finish sink
+/// cardinality; Finish appends order and emit.
+void TraceSinkOp(obs::QueryTrace* trace, const BoundSelect& plan,
+                 int64_t rows_in, int64_t sink_rows, int64_t consume_ns) {
   obs::TraceOp sinkop;
   sinkop.op = plan.aggregate_mode ? "aggregate" : "project";
   if (plan.distinct) sinkop.detail = "distinct";
@@ -649,29 +534,14 @@ void TraceSinkOps(obs::QueryTrace* trace, const BoundSelect& plan,
   sinkop.rows_out = sink_rows;
   sinkop.wall_us = consume_ns / 1000;
   trace->ops.push_back(std::move(sinkop));
-  if (!plan.order_by.empty()) {
-    obs::TraceOp order;
-    order.op = "order";
-    order.detail = std::to_string(plan.order_by.size()) + " keys";
-    order.rows_in = sink_rows;
-    order.rows_out = sink_rows;
-    order.wall_us = finish_ns / 1000;
-    trace->ops.push_back(std::move(order));
-  }
-  obs::TraceOp emit;
-  emit.op = "emit";
-  if (plan.limit >= 0) emit.detail = "limit=" + std::to_string(plan.limit);
-  emit.rows_in = sink_rows;
-  emit.rows_out = static_cast<int64_t>(rs.rows.size());
-  trace->ops.push_back(std::move(emit));
 }
 
 /// Sink cardinality before Finish (groups for aggregates, pending rows
-/// otherwise) — the row count entering order/limit/emit.
+/// otherwise): the aggregate/project operator's output cardinality.
 int64_t SinkRows(const BoundSelect& plan, const SinkState& st) {
   if (plan.aggregate_mode) {
     // A global aggregate over empty input still emits one row.
-    if (st.groups.empty() && plan.group_by.empty()) return 1;
+    if (st.groups.size() == 0 && plan.group_by.empty()) return 1;
     return static_cast<int64_t>(st.groups.size());
   }
   return static_cast<int64_t>(st.pending.size());
@@ -861,19 +731,15 @@ StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
     }
     SinkState merged;
     for (SinkState& p : partials) sink.MergeState(&merged, std::move(p));
-    if (!tracing) return sink.Finish(std::move(merged));
+    if (!tracing) return sink.Finish(std::move(merged), nullptr);
     const LaneTrace t = SumLanes(lt);
     opts.trace->lanes = std::max(opts.trace->lanes, lanes);
     opts.trace->morsels += static_cast<int64_t>(partials.size());
     TraceScanOps(opts.trace, plan.steps[0].table_id, !filters.empty(),
                  visited, blocks.skipped, t, NowNanos() - t_drv);
-    const int64_t sink_rows = SinkRows(plan, merged);
-    const int64_t t_fin = NowNanos();
-    auto rs = sink.Finish(std::move(merged));
-    if (!rs.ok()) return rs.status();
-    TraceSinkOps(opts.trace, plan, t.selected, sink_rows, t.consume_ns,
-                 NowNanos() - t_fin, *rs);
-    return rs;
+    TraceSinkOp(opts.trace, plan, t.selected, SinkRows(plan, merged),
+                t.consume_ns);
+    return sink.Finish(std::move(merged), opts.trace);
   }
 
   SinkState state;
@@ -904,16 +770,12 @@ StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
     stats->blocks_scanned += blocks.scanned;
     stats->blocks_skipped += blocks.skipped;
   }
-  if (!tracing) return sink.Finish(std::move(state));
+  if (!tracing) return sink.Finish(std::move(state), nullptr);
   TraceScanOps(opts.trace, plan.steps[0].table_id, !filters.empty(), scanned,
                blocks.skipped, t, NowNanos() - t_drv);
-  const int64_t sink_rows = SinkRows(plan, state);
-  const int64_t t_fin = NowNanos();
-  auto rs = sink.Finish(std::move(state));
-  if (!rs.ok()) return rs.status();
-  TraceSinkOps(opts.trace, plan, t.selected, sink_rows, t.consume_ns,
-               NowNanos() - t_fin, *rs);
-  return rs;
+  TraceSinkOp(opts.trace, plan, t.selected, SinkRows(plan, state),
+              t.consume_ns);
+  return sink.Finish(std::move(state), opts.trace);
 }
 
 // ------------------------------- join path ---------------------------------
@@ -1079,33 +941,20 @@ class JoinPipeline {
   bool serial_;
 };
 
-/// Marks every slot referenced by the subtree in `mask`.
-void MarkSlots(const BoundExpr& e, std::vector<uint8_t>* mask) {
-  if (e.kind == sql::BKind::kSlot && e.slot >= 0 &&
-      static_cast<size_t>(e.slot) < mask->size()) {
-    (*mask)[e.slot] = 1;
-  }
-  for (const auto& c : e.children) MarkSlots(*c, mask);
-}
-
 /// Whether streaming the other side of a two-table join preserves the
-/// interpreter parity contract. Swapping changes the emission order, which
-/// is visible through (a) LIMIT without a full sort picking a different row
-/// subset and (b) grouped-aggregate representative tuples ("first row of
-/// the group"): a raw slot projected (or used in HAVING / ORDER BY) that is
+/// interpreter parity contract. Swapping changes the emission order of rows
+/// and the first-seen order of groups, which is visible through (a) ORDER
+/// BY, whose ties keep emission order, (b) LIMIT, which keeps the first
+/// rows or groups, and (c) grouped-aggregate representative tuples ("first
+/// row of the group"): a raw slot projected (or used in HAVING) that is
 /// not itself a GROUP BY key takes its value from the representative, so
 /// its value depends on the driving order.
 bool SwapPreservesParity(const BoundSelect& plan) {
-  if (plan.limit >= 0 && !plan.aggregate_mode && plan.order_by.empty()) {
-    return false;
-  }
+  if (!plan.order_by.empty() || plan.limit >= 0) return false;
   if (!plan.aggregate_mode) return true;
   std::vector<uint8_t> refs(plan.total_slots, 0);
   for (const auto& p : plan.projections) MarkSlots(*p, &refs);
   if (plan.having) MarkSlots(*plan.having, &refs);
-  for (const BoundOrderItem& oi : plan.order_by) {
-    if (oi.expr) MarkSlots(*oi.expr, &refs);
-  }
   std::vector<uint8_t> keyed(plan.total_slots, 0);
   for (const auto& g : plan.group_by) {
     if (g->kind == sql::BKind::kSlot && g->slot >= 0 &&
@@ -1150,15 +999,7 @@ StatusOr<sql::ResultSet> RunHashJoin(
   // chunk directly). Everything else is never materialized.
   const size_t total_slots = slot_types.size();
   std::vector<uint8_t> needed(total_slots, 0);
-  for (const auto& p : plan.projections) MarkSlots(*p, &needed);
-  for (const auto& g : plan.group_by) MarkSlots(*g, &needed);
-  for (const auto& a : plan.aggs) {
-    if (a.arg) MarkSlots(*a.arg, &needed);
-  }
-  if (plan.having) MarkSlots(*plan.having, &needed);
-  for (const BoundOrderItem& oi : plan.order_by) {
-    if (oi.expr) MarkSlots(*oi.expr, &needed);
-  }
+  sql::MarkSinkSlots(plan, &needed);
   {
     bool first_level = true;
     for (size_t k = 1; k < nsteps; ++k) {
@@ -1347,7 +1188,7 @@ StatusOr<sql::ResultSet> RunHashJoin(
     }
     SinkState merged;
     for (SinkState& p : partials) sink.MergeState(&merged, std::move(p));
-    if (!tracing) return sink.Finish(std::move(merged));
+    if (!tracing) return sink.Finish(std::move(merged), nullptr);
     const LaneTrace t = SumLanes(lt);
     opts.trace->lanes = std::max(opts.trace->lanes, lanes);
     opts.trace->morsels += static_cast<int64_t>(partials.size());
@@ -1361,13 +1202,8 @@ StatusOr<sql::ResultSet> RunHashJoin(
     probe.rows_out = joined;
     probe.wall_us = t.consume_ns / 1000;  // includes the sink consume
     opts.trace->ops.push_back(std::move(probe));
-    const int64_t sink_rows = SinkRows(plan, merged);
-    const int64_t t_fin = NowNanos();
-    auto rs = sink.Finish(std::move(merged));
-    if (!rs.ok()) return rs.status();
-    TraceSinkOps(opts.trace, plan, joined, sink_rows, 0, NowNanos() - t_fin,
-                 *rs);
-    return rs;
+    TraceSinkOp(opts.trace, plan, joined, SinkRows(plan, merged), 0);
+    return sink.Finish(std::move(merged), opts.trace);
   }
 
   // The serial trace needs the joined-row count even when the caller passed
@@ -1409,7 +1245,7 @@ StatusOr<sql::ResultSet> RunHashJoin(
     stats->blocks_scanned += blocks.scanned;
     stats->blocks_skipped += blocks.skipped;
   }
-  if (!tracing) return sink.Finish(std::move(state));
+  if (!tracing) return sink.Finish(std::move(state), nullptr);
   const int64_t joined = jstats->rows_joined - joined_before;
   TraceScanOps(opts.trace, plan.steps[stream].table_id,
                !stream_filters.empty(), scanned, blocks.skipped, t,
@@ -1421,13 +1257,8 @@ StatusOr<sql::ResultSet> RunHashJoin(
   probe.rows_out = joined;
   probe.wall_us = t.consume_ns / 1000;  // includes the sink consume
   opts.trace->ops.push_back(std::move(probe));
-  const int64_t sink_rows = SinkRows(plan, state);
-  const int64_t t_fin = NowNanos();
-  auto rs = sink.Finish(std::move(state));
-  if (!rs.ok()) return rs.status();
-  TraceSinkOps(opts.trace, plan, joined, sink_rows, 0, NowNanos() - t_fin,
-               *rs);
-  return rs;
+  TraceSinkOp(opts.trace, plan, joined, SinkRows(plan, state), 0);
+  return sink.Finish(std::move(state), opts.trace);
 }
 
 }  // namespace

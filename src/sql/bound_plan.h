@@ -1,14 +1,13 @@
 #ifndef OLXP_SQL_BOUND_PLAN_H_
 #define OLXP_SQL_BOUND_PLAN_H_
 
-#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/checked_arith.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "sql/ast.h"
@@ -77,6 +76,15 @@ inline BoundExprPtr CloneBound(const BoundExpr& e) {
 /// True when the subtree contains an IN (subquery) or scalar subquery.
 bool ContainsSubquery(const BoundExpr& e);
 
+/// Marks every tuple slot the subtree references in `mask`.
+inline void MarkSlots(const BoundExpr& e, std::vector<uint8_t>* mask) {
+  if (e.kind == BKind::kSlot && e.slot >= 0 &&
+      static_cast<size_t>(e.slot) < mask->size()) {
+    (*mask)[e.slot] = 1;
+  }
+  for (const auto& c : e.children) MarkSlots(*c, mask);
+}
+
 struct AggSpec {
   AggFunc fn = AggFunc::kCountStar;
   BoundExprPtr arg;  // null for COUNT(*)
@@ -121,6 +129,21 @@ struct BoundSelect {
   bool distinct = false;
 };
 
+/// Marks the slots a SELECT's sink reads — projections, GROUP BY keys,
+/// aggregate arguments, HAVING and ORDER BY expressions — in `mask`.
+inline void MarkSinkSlots(const BoundSelect& plan,
+                          std::vector<uint8_t>* mask) {
+  for (const auto& p : plan.projections) MarkSlots(*p, mask);
+  for (const auto& g : plan.group_by) MarkSlots(*g, mask);
+  for (const AggSpec& a : plan.aggs) {
+    if (a.arg) MarkSlots(*a.arg, mask);
+  }
+  if (plan.having) MarkSlots(*plan.having, mask);
+  for (const BoundOrderItem& oi : plan.order_by) {
+    if (oi.expr) MarkSlots(*oi.expr, mask);
+  }
+}
+
 struct BoundInsert {
   int table_id = -1;
   const storage::TableSchema* schema = nullptr;
@@ -150,101 +173,6 @@ struct BoundCreateIndex {
 
 enum class StmtKind { kSelect, kInsert, kUpdate, kDelete, kCreateTable,
                       kCreateIndex };
-
-/// Aggregate accumulator with the engine's SQL semantics (NULLs skipped,
-/// int/double promotion, AVG always double). Shared by the interpreter and
-/// the vectorized engine so both produce bit-identical aggregate results.
-/// Double sums are Neumaier-compensated: the running error term keeps the
-/// final rounded sum independent of accumulation order, so morsel-driven
-/// parallel partials merged out of scan order still agree with a serial
-/// pass to the last bit for all practical inputs.
-struct AggAccum {
-  int64_t count = 0;
-  double dsum = 0;
-  double dcomp = 0;  ///< Neumaier compensation term for dsum
-  int64_t isum = 0;
-  bool isum_overflow = false;  ///< SUM over INTs left int64 range -> NULL
-  bool any_double = false;
-  Value min, max;  // NULL until first value
-
-  /// Checked integer-sum accumulation: overflow poisons the integer sum
-  /// (SUM yields NULL) instead of signed-overflow UB.
-  void AddInt(int64_t x) {
-    if (auto r = CheckedAdd(isum, x)) {
-      isum = *r;
-    } else {
-      isum_overflow = true;
-    }
-  }
-
-  void AddDouble(double x) {
-    double t = dsum + x;
-    if (std::abs(dsum) >= std::abs(x)) {
-      dcomp += (dsum - t) + x;
-    } else {
-      dcomp += (x - t) + dsum;
-    }
-    dsum = t;
-  }
-
-  double DoubleSum() const { return dsum + dcomp; }
-
-  void Add(const Value& v) {
-    if (v.is_null()) return;
-    ++count;
-    if (v.is_numeric()) {
-      if (v.type() == ValueType::kDouble) {
-        any_double = true;
-        AddDouble(v.AsDouble());
-      } else {
-        AddInt(v.AsInt());
-        AddDouble(v.AsDouble());
-      }
-    }
-    if (min.is_null() || v.Compare(min) < 0) min = v;
-    if (max.is_null() || v.Compare(max) > 0) max = v;
-  }
-
-  /// Folds a partial accumulator over a disjoint row subset into this one.
-  /// Partial-state merge for parallel aggregation: merging per-morsel
-  /// partials in morsel order reproduces the serial result (counts, integer
-  /// sums and extremes exactly; double sums to compensated precision).
-  void MergeFrom(const AggAccum& o) {
-    count += o.count;
-    isum_overflow = isum_overflow || o.isum_overflow;
-    AddInt(o.isum);
-    any_double = any_double || o.any_double;
-    AddDouble(o.dsum);
-    AddDouble(o.dcomp);
-    if (!o.min.is_null() && (min.is_null() || o.min.Compare(min) < 0)) {
-      min = o.min;
-    }
-    if (!o.max.is_null() && (max.is_null() || o.max.Compare(max) > 0)) {
-      max = o.max;
-    }
-  }
-
-  Value Result(AggFunc fn, int64_t star_count) const {
-    switch (fn) {
-      case AggFunc::kCountStar:
-        return Value::Int(star_count);
-      case AggFunc::kCount:
-        return Value::Int(count);
-      case AggFunc::kSum:
-        if (count == 0) return Value::Null();
-        if (any_double) return Value::Double(DoubleSum());
-        return isum_overflow ? Value::Null() : Value::Int(isum);
-      case AggFunc::kAvg:
-        if (count == 0) return Value::Null();
-        return Value::Double(DoubleSum() / static_cast<double>(count));
-      case AggFunc::kMin:
-        return min;
-      case AggFunc::kMax:
-        return max;
-    }
-    return Value::Null();
-  }
-};
 
 /// Compiled-statement implementation: the bound plan variants. Public so the
 /// vectorized engine can inspect and lower plans; treat as read-only outside

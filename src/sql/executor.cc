@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/checked_arith.h"
@@ -13,6 +12,7 @@
 #include "common/strings.h"
 #include "sql/bound_plan.h"
 #include "sql/parser.h"
+#include "sql/sink.h"
 
 namespace olxp::sql {
 
@@ -709,6 +709,43 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
 StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
                      const std::vector<Value>* agg_values);
 
+/// Points *out at the value of `e`: slot, parameter, literal and aggregate
+/// operands are read in place (no Value copy); anything else is evaluated
+/// into *buf.
+Status Operand(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
+               const std::vector<Value>* agg_values, Value* buf,
+               const Value** out) {
+  switch (e.kind) {
+    case BKind::kSlot:
+      assert(e.slot >= 0 && static_cast<size_t>(e.slot) < tuple.size());
+      *out = &tuple[e.slot];
+      return Status::OK();
+    case BKind::kLiteral:
+      *out = &e.literal;
+      return Status::OK();
+    case BKind::kParam:
+      if (e.param_index >= 0 &&
+          static_cast<size_t>(e.param_index) < ctx->params.size()) {
+        *out = &ctx->params[e.param_index];
+        return Status::OK();
+      }
+      break;  // Eval reports the missing parameter
+    case BKind::kAggRef:
+      if (agg_values != nullptr) {
+        *out = &(*agg_values)[e.agg_index];
+        return Status::OK();
+      }
+      break;
+    default:
+      break;
+  }
+  auto v = Eval(e, tuple, ctx, agg_values);
+  if (!v.ok()) return v.status();
+  *buf = std::move(v).value();
+  *out = buf;
+  return Status::OK();
+}
+
 StatusOr<const std::vector<Row>*> MaterializeSubquery(const BoundExpr& e,
                                                       ExecContext* ctx) {
   assert(e.sub_id >= 0);
@@ -825,8 +862,10 @@ StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
       }
       return (*agg_values)[e.agg_index];
     case BKind::kUnary: {
-      auto c = Eval(*e.children[0], tuple, ctx, agg_values);
-      if (!c.ok()) return c;
+      Value buf;
+      const Value* c;
+      OLXP_RETURN_NOT_OK(
+          Operand(*e.children[0], tuple, ctx, agg_values, &buf, &c));
       const Value& v = *c;
       switch (e.uop) {
         case UnaryOp::kNeg:
@@ -857,10 +896,13 @@ StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
         if (!r.ok()) return r;
         return Value::Bool(r->AsBool());
       }
-      auto l = Eval(*e.children[0], tuple, ctx, agg_values);
-      if (!l.ok()) return l;
-      auto r = Eval(*e.children[1], tuple, ctx, agg_values);
-      if (!r.ok()) return r;
+      Value lbuf, rbuf;
+      const Value* l;
+      const Value* r;
+      OLXP_RETURN_NOT_OK(
+          Operand(*e.children[0], tuple, ctx, agg_values, &lbuf, &l));
+      OLXP_RETURN_NOT_OK(
+          Operand(*e.children[1], tuple, ctx, agg_values, &rbuf, &r));
       switch (e.bop) {
         case BinaryOp::kAdd:
         case BinaryOp::kSub:
@@ -901,24 +943,31 @@ StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
       }
     }
     case BKind::kBetween: {
-      auto v = Eval(*e.children[0], tuple, ctx, agg_values);
-      if (!v.ok()) return v;
-      auto lo = Eval(*e.children[1], tuple, ctx, agg_values);
-      if (!lo.ok()) return lo;
-      auto hi = Eval(*e.children[2], tuple, ctx, agg_values);
-      if (!hi.ok()) return hi;
+      Value bufs[3];
+      const Value* v;
+      const Value* lo;
+      const Value* hi;
+      OLXP_RETURN_NOT_OK(
+          Operand(*e.children[0], tuple, ctx, agg_values, &bufs[0], &v));
+      OLXP_RETURN_NOT_OK(
+          Operand(*e.children[1], tuple, ctx, agg_values, &bufs[1], &lo));
+      OLXP_RETURN_NOT_OK(
+          Operand(*e.children[2], tuple, ctx, agg_values, &bufs[2], &hi));
       if (v->is_null() || lo->is_null() || hi->is_null()) {
         return Value::Bool(false);
       }
       return Value::Bool(v->Compare(*lo) >= 0 && v->Compare(*hi) <= 0);
     }
     case BKind::kInList: {
-      auto v = Eval(*e.children[0], tuple, ctx, agg_values);
-      if (!v.ok()) return v;
+      Value vbuf, ibuf;
+      const Value* v;
+      OLXP_RETURN_NOT_OK(
+          Operand(*e.children[0], tuple, ctx, agg_values, &vbuf, &v));
       bool found = false;
       for (size_t i = 1; i < e.children.size(); ++i) {
-        auto item = Eval(*e.children[i], tuple, ctx, agg_values);
-        if (!item.ok()) return item;
+        const Value* item;
+        OLXP_RETURN_NOT_OK(
+            Operand(*e.children[i], tuple, ctx, agg_values, &ibuf, &item));
         if (!v->is_null() && !item->is_null() && v->Compare(*item) == 0) {
           found = true;
           break;
@@ -927,8 +976,10 @@ StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
       return Value::Bool(e.negated_in ? !found : found);
     }
     case BKind::kInSubquery: {
-      auto v = Eval(*e.children[0], tuple, ctx, agg_values);
-      if (!v.ok()) return v;
+      Value vbuf;
+      const Value* v;
+      OLXP_RETURN_NOT_OK(
+          Operand(*e.children[0], tuple, ctx, agg_values, &vbuf, &v));
       auto rows = MaterializeSubquery(e, ctx);
       if (!rows.ok()) return rows.status();
       bool found = false;
@@ -971,9 +1022,11 @@ StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
 Status EvalKey(const TableStep& step, const std::vector<int>& key_cols,
                const Row& tuple, ExecContext* ctx, Row* out) {
   out->clear();
+  Value buf;
   for (size_t i = 0; i < step.key_exprs.size(); ++i) {
-    auto v = Eval(*step.key_exprs[i], tuple, ctx, nullptr);
-    if (!v.ok()) return v.status();
+    const Value* v;
+    OLXP_RETURN_NOT_OK(
+        Operand(*step.key_exprs[i], tuple, ctx, nullptr, &buf, &v));
     ValueType want = step.schema->columns()[key_cols[i]].type;
     auto cast = v->CastTo(want);
     if (!cast.ok()) return cast.status();
@@ -982,15 +1035,19 @@ Status EvalKey(const TableStep& step, const std::vector<int>& key_cols,
   return Status::OK();
 }
 
-// AggAccum lives in sql/bound_plan.h (shared with the vectorized engine).
-
-struct Group {
-  Row repr;  ///< representative input tuple (first of the group)
-  std::vector<AggAccum> accums;
-  int64_t star_count = 0;
-};
-
 /// Drives the join pipeline: emits every joined tuple passing all filters.
+///
+/// Tuple fill (the needed-slot rule): a single-table plan's tuple layout is
+/// the stored row's own layout, so its filters, keys and sink read each
+/// row in place and nothing is copied. A join fills, per step, only the
+/// slots that some filter (keys and range bounds are filters too),
+/// projection, GROUP BY key, aggregate argument, HAVING or ORDER BY
+/// expression references; the other slots stay NULL and no expression
+/// reads them. The emitted tuple is therefore a whole row only for
+/// single-table plans — which is what CollectMatches relies on: UPDATE and
+/// DELETE take the primary key from, and UPDATE rewrites, the whole
+/// matched row, so their single-step plans must never go through a
+/// partial fill.
 ///
 /// Latch discipline: multi-step plans take ONE table latch at a time, like
 /// the vectorized path's one-ScanPin-per-table rule. Recursing into the
@@ -999,27 +1056,52 @@ struct Group {
 /// (or a concurrent exclusive-latch taker such as CREATE INDEX backfill)
 /// then form an acquired-after cycle — a real deadlock, and the reason
 /// TSan ran with detect_deadlocks=0. So for nested plans every scan-style
-/// step materializes its rows first and recursion only ever walks
-/// in-memory vectors; kFull inner tables cache once per statement, which
-/// also removes the O(outer x inner) rescan. Single-step plans keep the
-/// streaming path (LIMIT early-stop, no copy): with subqueries
-/// pre-materialized, their callbacks touch no storage.
+/// step materializes its rows first (their referenced columns only) and
+/// recursion only ever walks in-memory vectors; kFull inner tables cache
+/// once per statement, which also removes the O(outer x inner) rescan.
+/// Single-step plans keep the streaming path (LIMIT early-stop, no copy):
+/// with subqueries pre-materialized, their callbacks touch no storage.
 Status RunJoin(const BoundSelect& plan, ExecContext* ctx,
                const std::function<Status(const Row&)>& emit,
                bool* stop_flag) {
   OLXP_RETURN_NOT_OK(PrematerializePlanSubqueries(plan, ctx));
 
+  const size_t nsteps = plan.steps.size();
+  const bool nested = nsteps > 1;
   Row tuple(plan.total_slots, Value::Null());
-  const bool nested = plan.steps.size() > 1;
+  // Per join step, the local columns some expression reads.
+  std::vector<std::vector<int>> fill(nsteps);
+  if (nested) {
+    std::vector<uint8_t> needed(plan.total_slots, 0);
+    MarkSinkSlots(plan, &needed);
+    // Key and range expressions are cloned from their step's filters,
+    // which are always re-checked, so marking the filters covers them.
+    for (const TableStep& step : plan.steps) {
+      for (const auto& f : step.filters) MarkSlots(*f, &needed);
+    }
+    for (size_t k = 0; k < nsteps; ++k) {
+      const TableStep& step = plan.steps[k];
+      for (int c = 0; c < step.ncols; ++c) {
+        if (needed[step.base + c]) fill[k].push_back(c);
+      }
+    }
+  }
+  // Materialized rows of nested steps keep only their fill columns.
+  auto compact = [&](size_t k, const Row& row) {
+    Row out;
+    out.reserve(fill[k].size());
+    for (int c : fill[k]) out.push_back(row[c]);
+    return out;
+  };
   // Per-statement cache of fully-scanned tables (kFull and degenerate
   // range steps of nested plans), keyed by step index.
-  std::vector<std::optional<std::vector<Row>>> full_cache(plan.steps.size());
+  std::vector<std::optional<std::vector<Row>>> full_cache(nsteps);
   auto ensure_full = [&](size_t k) -> Status {
     if (full_cache[k].has_value()) return Status::OK();
     std::vector<Row> rows;
     OLXP_RETURN_NOT_OK(
         ctx->storage->ScanTable(plan.steps[k].table_id, [&](const Row& row) {
-          rows.push_back(row);
+          rows.push_back(compact(k, row));
           return true;
         }));
     full_cache[k] = std::move(rows);
@@ -1029,28 +1111,39 @@ Status RunJoin(const BoundSelect& plan, ExecContext* ctx,
   // Recursive step executor.
   std::function<Status(size_t)> do_step = [&](size_t k) -> Status {
     if (*stop_flag) return Status::OK();
-    if (k == plan.steps.size()) return emit(tuple);
     const TableStep& step = plan.steps[k];
 
     Status inner_status;
-    auto consume = [&](const Row& row) -> bool {
-      // Copy into slots.
-      for (int c = 0; c < step.ncols; ++c) tuple[step.base + c] = row[c];
-      // Filters.
+    // `packed`: the row holds only the step's fill columns, in order.
+    auto consume = [&](const Row& row, bool packed) -> bool {
+      const Row* t = &row;
+      if (nested) {
+        const std::vector<int>& cols = fill[k];
+        for (size_t j = 0; j < cols.size(); ++j) {
+          tuple[step.base + cols[j]] = row[packed ? j : cols[j]];
+        }
+        t = &tuple;
+      }
       for (const BoundExprPtr& f : step.filters) {
-        auto v = Eval(*f, tuple, ctx, nullptr);
+        auto v = Eval(*f, *t, ctx, nullptr);
         if (!v.ok()) {
           inner_status = v.status();
           return false;
         }
         if (!v->AsBool()) return true;  // skip row
       }
-      Status st = do_step(k + 1);
+      Status st = k + 1 == nsteps ? emit(*t) : do_step(k + 1);
       if (!st.ok()) {
         inner_status = st;
         return false;
       }
       return !*stop_flag;
+    };
+    auto consume_row = [&](const Row& row) { return consume(row, false); };
+    auto consume_all = [&](const std::vector<Row>& rows, bool packed) {
+      for (const Row& row : rows) {
+        if (!consume(row, packed)) break;
+      }
     };
 
     switch (step.path) {
@@ -1060,9 +1153,7 @@ Status RunJoin(const BoundSelect& plan, ExecContext* ctx,
             EvalKey(step, step.schema->pk_columns(), tuple, ctx, &key));
         auto row = ctx->storage->GetByPk(step.table_id, key);
         if (!row.ok()) return row.status();
-        if (row->has_value()) {
-          consume(**row);
-        }
+        if (row->has_value()) consume_row(**row);
         return inner_status;
       }
       case TableStep::Path::kPkPrefixRange: {
@@ -1091,12 +1182,11 @@ Status RunJoin(const BoundSelect& plan, ExecContext* ctx,
           // Degenerate: treat as full scan.
           if (nested) {
             OLXP_RETURN_NOT_OK(ensure_full(k));
-            for (const Row& row : *full_cache[k]) {
-              if (!consume(row)) break;
-            }
+            consume_all(*full_cache[k], true);
             return inner_status;
           }
-          OLXP_RETURN_NOT_OK(ctx->storage->ScanTable(step.table_id, consume));
+          OLXP_RETURN_NOT_OK(
+              ctx->storage->ScanTable(step.table_id, consume_row));
           return inner_status;
         }
         if (nested) {
@@ -1105,16 +1195,14 @@ Status RunJoin(const BoundSelect& plan, ExecContext* ctx,
           std::vector<Row> rows;
           OLXP_RETURN_NOT_OK(ctx->storage->ScanPkRange(
               step.table_id, lo, hi, [&](const Row& row) {
-                rows.push_back(row);
+                rows.push_back(compact(k, row));
                 return true;
               }));
-          for (const Row& row : rows) {
-            if (!consume(row)) break;
-          }
+          consume_all(rows, true);
           return inner_status;
         }
         OLXP_RETURN_NOT_OK(
-            ctx->storage->ScanPkRange(step.table_id, lo, hi, consume));
+            ctx->storage->ScanPkRange(step.table_id, lo, hi, consume_row));
         return inner_status;
       }
       case TableStep::Path::kIndexPrefix: {
@@ -1128,20 +1216,17 @@ Status RunJoin(const BoundSelect& plan, ExecContext* ctx,
         OLXP_RETURN_NOT_OK(ctx->storage->IndexLookup(step.table_id,
                                                      step.index_id, key,
                                                      &rows));
-        for (const Row& row : rows) {
-          if (!consume(row)) break;
-        }
+        consume_all(rows, false);
         return inner_status;
       }
       case TableStep::Path::kFull: {
         if (nested) {
           OLXP_RETURN_NOT_OK(ensure_full(k));
-          for (const Row& row : *full_cache[k]) {
-            if (!consume(row)) break;
-          }
+          consume_all(*full_cache[k], true);
           return inner_status;
         }
-        OLXP_RETURN_NOT_OK(ctx->storage->ScanTable(step.table_id, consume));
+        OLXP_RETURN_NOT_OK(
+            ctx->storage->ScanTable(step.table_id, consume_row));
         return inner_status;
       }
     }
@@ -1149,6 +1234,16 @@ Status RunJoin(const BoundSelect& plan, ExecContext* ctx,
   };
 
   return do_step(0);
+}
+
+/// Declared column type of tuple slot `slot`.
+ValueType SlotType(const BoundSelect& plan, int slot) {
+  for (const TableStep& step : plan.steps) {
+    if (slot < step.base + step.ncols) {
+      return step.schema->columns()[slot - step.base].type;
+    }
+  }
+  return ValueType::kNull;
 }
 
 StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
@@ -1164,14 +1259,9 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
   const int64_t t_start = tracing ? NowNanos() : 0;
   int64_t t_join_end = 0;
 
-  struct PendingRow {
-    Row out;
-    Row order_keys;
-  };
   std::vector<PendingRow> pending;
-  // DISTINCT dedup: hash buckets of materialized rows, compared by value
-  // (hash-only dedup would silently drop rows on collision).
-  std::unordered_map<size_t, std::vector<Row>> distinct_seen;
+  // DISTINCT dedup by value, keep-first.
+  std::unordered_set<Row, storage::KeyHash, storage::KeyEq> distinct_seen;
 
   const bool can_stop_early = !plan.aggregate_mode && plan.order_by.empty() &&
                               !plan.distinct && plan.limit >= 0;
@@ -1185,22 +1275,8 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
       if (!v.ok()) return v.status();
       pr.out.push_back(std::move(v).value());
     }
-    if (plan.distinct) {
-      size_t h = HashRow(pr.out);
-      auto& bucket = distinct_seen[h];
-      for (const Row& seen : bucket) {
-        if (seen.size() == pr.out.size()) {
-          bool eq = true;
-          for (size_t i = 0; i < seen.size(); ++i) {
-            if (seen[i].Compare(pr.out[i]) != 0) {
-              eq = false;
-              break;
-            }
-          }
-          if (eq) return Status::OK();
-        }
-      }
-      bucket.push_back(pr.out);
+    if (plan.distinct && !distinct_seen.insert(pr.out).second) {
+      return Status::OK();
     }
     for (const BoundOrderItem& oi : plan.order_by) {
       if (oi.proj_index >= 0) {
@@ -1229,57 +1305,69 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
         &stop));
     if (tracing) t_join_end = NowNanos();
   } else {
-    // Hash aggregation.
-    std::unordered_map<size_t, std::vector<Group>> groups;
-    size_t total_groups = 0;
+    // Hash aggregation over the first-seen group index shared with the
+    // vectorized engine.
+    GroupTable groups;
+    const size_t nkeys = plan.group_by.size();
+    // One INT/TIMESTAMP column key probes the int64 map (rows are
+    // normalized to their column types, so its values are ints or NULL).
+    const BoundExpr* int_key = nullptr;
+    if (nkeys == 1 && plan.group_by[0]->kind == BKind::kSlot) {
+      const ValueType t = SlotType(plan, plan.group_by[0]->slot);
+      if (t == ValueType::kInt || t == ValueType::kTimestamp) {
+        int_key = plan.group_by[0].get();
+      }
+    }
+    // Group representatives keep only the slots the finalization reads.
+    std::vector<uint8_t> reads(plan.total_slots, 0);
+    for (const auto& p : plan.projections) MarkSlots(*p, &reads);
+    if (plan.having) MarkSlots(*plan.having, &reads);
+    for (const BoundOrderItem& oi : plan.order_by) {
+      if (oi.expr) MarkSlots(*oi.expr, &reads);
+    }
+    std::vector<int> repr_slots;
+    for (int s = 0; s < plan.total_slots; ++s) {
+      if (reads[s]) repr_slots.push_back(s);
+    }
+    const std::vector<AggAccum> fresh = NewAccums(plan.aggs);
+    Row key_bufs(nkeys);
+    std::vector<const Value*> key(nkeys);
+    Value arg_buf;
     OLXP_RETURN_NOT_OK(RunJoin(
         plan, ctx,
         [&](const Row& tuple) -> Status {
           ++tuples;
-          Row key;
-          key.reserve(plan.group_by.size());
-          for (const BoundExprPtr& g : plan.group_by) {
-            auto v = Eval(*g, tuple, ctx, nullptr);
-            if (!v.ok()) return v.status();
-            key.push_back(std::move(v).value());
-          }
-          size_t h = HashRow(key);
-          Group* grp = nullptr;
-          auto& bucket = groups[h];
-          for (Group& g : bucket) {
-            // Compare group keys via representative re-evaluation-free
-            // stored keys: reuse repr? store keys in repr prefix instead.
-            // We stash the key at the front of repr for equality checks.
-            bool eq = true;
-            for (size_t i = 0; i < key.size(); ++i) {
-              if (g.repr[i].Compare(key[i]) != 0) {
-                eq = false;
-                break;
-              }
+          bool created = false;
+          uint32_t g;
+          if (nkeys == 0) {
+            g = groups.Global(&created);
+          } else if (int_key != nullptr) {
+            const Value& v = tuple[int_key->slot];
+            g = groups.FindInt(v.is_null() ? 0 : v.AsInt(), v.is_null(),
+                               &created);
+          } else {
+            for (size_t i = 0; i < nkeys; ++i) {
+              OLXP_RETURN_NOT_OK(Operand(*plan.group_by[i], tuple, ctx,
+                                         nullptr, &key_bufs[i], &key[i]));
             }
-            if (eq) {
-              grp = &g;
-              break;
-            }
+            g = groups.Find(
+                nkeys, [&](size_t i) -> const Value& { return *key[i]; },
+                &created);
           }
-          if (grp == nullptr) {
-            bucket.emplace_back();
-            grp = &bucket.back();
-            grp->repr = key;  // group key prefix
-            grp->repr.insert(grp->repr.end(), tuple.begin(), tuple.end());
-            grp->accums.resize(plan.aggs.size());
-            ++total_groups;
+          AggGroup& grp = groups[g];
+          if (created) {
+            grp.repr.assign(plan.total_slots, Value::Null());
+            for (int s : repr_slots) grp.repr[s] = tuple[s];
+            grp.accums = fresh;
           }
-          grp->star_count++;
+          grp.star_count++;
           for (size_t a = 0; a < plan.aggs.size(); ++a) {
             const AggSpec& spec = plan.aggs[a];
-            if (spec.arg) {
-              auto v = Eval(*spec.arg, tuple, ctx, nullptr);
-              if (!v.ok()) return v.status();
-              grp->accums[a].Add(*v);
-            } else {
-              grp->accums[a].Add(Value::Int(1));
-            }
+            if (!spec.arg) continue;  // COUNT(*): star_count only
+            const Value* v;
+            OLXP_RETURN_NOT_OK(
+                Operand(*spec.arg, tuple, ctx, nullptr, &arg_buf, &v));
+            grp.accums[a].Add(*v);
           }
           return Status::OK();
         },
@@ -1287,29 +1375,24 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
     if (tracing) t_join_end = NowNanos();
 
     // Global aggregate over empty input still yields one row.
-    if (total_groups == 0 && plan.group_by.empty()) {
-      Group g;
+    if (groups.size() == 0 && nkeys == 0) {
+      bool created = false;
+      AggGroup& g = groups[groups.Global(&created)];
       g.repr.assign(plan.total_slots, Value::Null());
-      g.accums.resize(plan.aggs.size());
-      groups[0].push_back(std::move(g));
+      g.accums = fresh;
     }
 
-    const size_t key_len = plan.group_by.size();
-    for (auto& [h, bucket] : groups) {
-      for (Group& g : bucket) {
-        std::vector<Value> agg_values(plan.aggs.size());
-        for (size_t a = 0; a < plan.aggs.size(); ++a) {
-          agg_values[a] = g.accums[a].Result(plan.aggs[a].fn, g.star_count);
-        }
-        // Representative tuple: stored after the key prefix.
-        Row tuple(g.repr.begin() + key_len, g.repr.end());
-        if (plan.having) {
-          auto v = Eval(*plan.having, tuple, ctx, &agg_values);
-          if (!v.ok()) return v.status();
-          if (!v->AsBool()) continue;
-        }
-        OLXP_RETURN_NOT_OK(project_and_collect(tuple, &agg_values));
+    std::vector<Value> agg_values(plan.aggs.size());
+    for (const AggGroup& g : groups.groups()) {
+      for (size_t a = 0; a < plan.aggs.size(); ++a) {
+        agg_values[a] = g.accums[a].Result(plan.aggs[a].fn, g.star_count);
       }
+      if (plan.having) {
+        auto v = Eval(*plan.having, g.repr, ctx, &agg_values);
+        if (!v.ok()) return v.status();
+        if (!v->AsBool()) continue;
+      }
+      OLXP_RETURN_NOT_OK(project_and_collect(g.repr, &agg_values));
     }
   }
 
@@ -1330,42 +1413,8 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
     trace->ops.push_back(std::move(sinkop));
   }
 
-  // Sort / limit / emit.
-  const int64_t t_sort = tracing ? NowNanos() : 0;
-  if (!plan.order_by.empty()) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [&](const PendingRow& a, const PendingRow& b) {
-                       for (size_t i = 0; i < plan.order_by.size(); ++i) {
-                         int c = a.order_keys[i].Compare(b.order_keys[i]);
-                         if (c != 0) {
-                           return plan.order_by[i].desc ? c > 0 : c < 0;
-                         }
-                       }
-                       return false;
-                     });
-    if (tracing) {
-      obs::TraceOp order;
-      order.op = "order";
-      order.detail = std::to_string(plan.order_by.size()) + " keys";
-      order.rows_in = static_cast<int64_t>(pending.size());
-      order.rows_out = static_cast<int64_t>(pending.size());
-      order.wall_us = (NowNanos() - t_sort) / 1000;
-      trace->ops.push_back(std::move(order));
-    }
-  }
-  size_t n = pending.size();
-  if (plan.limit >= 0) n = std::min(n, static_cast<size_t>(plan.limit));
-  rs.rows.reserve(n);
-  for (size_t i = 0; i < n; ++i) rs.rows.push_back(std::move(pending[i].out));
+  rs.rows = OrderAndLimit(std::move(pending), plan, trace);
   rs.affected_rows = 0;
-  if (tracing) {
-    obs::TraceOp emit;
-    emit.op = "emit";
-    if (plan.limit >= 0) emit.detail = "limit=" + std::to_string(plan.limit);
-    emit.rows_in = static_cast<int64_t>(pending.size());
-    emit.rows_out = static_cast<int64_t>(rs.rows.size());
-    trace->ops.push_back(std::move(emit));
-  }
   return rs;
 }
 
@@ -1388,7 +1437,9 @@ StatusOr<ResultSet> ExecuteInsertPlan(const BoundInsert& plan,
 }
 
 /// Materializes all rows matched by a single-table step (used by UPDATE and
-/// DELETE before mutating, so the scan never observes its own writes).
+/// DELETE before mutating, so the scan never observes its own writes). The
+/// shim plan has one step, so RunJoin emits each whole stored row — the pk
+/// and the image the write needs — never a needed-slot partial tuple.
 Status CollectMatches(const TableStep& step, ExecContext* ctx,
                       std::vector<Row>* out) {
   BoundSelect shim;

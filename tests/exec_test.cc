@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,45 @@ void ExpectParity(engine::Database& db, engine::Session& s,
     EXPECT_EQ(a, b);
   }
   db.set_exec_threads(orig_threads);
+}
+
+/// The Stringify form of one row.
+std::string RowString(const Row& row) {
+  sql::ResultSet rs;
+  rs.rows.push_back(row);
+  return Stringify(rs)[0];
+}
+
+/// Rows of `sql` (which must succeed).
+std::vector<Row> Rows(engine::Session& s, const std::string& sql) {
+  auto rs = s.Execute(sql);
+  EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+  return rs.ok() ? rs->rows : std::vector<Row>{};
+}
+
+/// Checks `sql` against hand-computed `expected` rows in every engine: the
+/// interpreter over the row store (a transaction pins it there), then
+/// ExpectParity's interpreter over the replica and vectorized sweep.
+/// `ordered` compares lists, otherwise sorted multisets.
+void ExpectRows(engine::Database& db, engine::Session& s,
+                const std::string& sql, std::vector<std::string> expected,
+                bool ordered) {
+  SCOPED_TRACE(sql);
+  if (!ordered) std::sort(expected.begin(), expected.end());
+  ASSERT_TRUE(s.Begin().ok());
+  auto row_store = s.Execute(sql);
+  ASSERT_TRUE(row_store.ok()) << row_store.status().ToString();
+  EXPECT_EQ(s.last_route(), engine::RoutedStore::kRowStore);
+  ASSERT_TRUE(s.Commit().ok());
+  db.set_vectorized_execution(false);
+  auto replica = s.Execute(sql);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  for (const sql::ResultSet* rs : {&*row_store, &*replica}) {
+    std::vector<std::string> got = Stringify(*rs);
+    if (!ordered) std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected);
+  }
+  ExpectParity(db, s, sql, {}, ordered);
 }
 
 /// Parameterized over EngineProfile::columnar_encoding: every parity shape
@@ -157,6 +197,149 @@ TEST_P(ExecParityTest, GroupByHavingOrderLimit) {
                           "ORDER BY a LIMIT 20", {}, /*ordered=*/true);
   ExpectParity(*db_, *s_, "SELECT a FROM t WHERE e = 2 LIMIT 5", {},
                /*ordered=*/true);
+}
+
+TEST_P(ExecParityTest, UnprojectedSlotsAndGroupRepresentatives) {
+  // Every engine scans t in a order (pk order on the row store, insertion
+  // order on the replica), so a group's representative is its lowest a.
+  const std::vector<Row> base =
+      Rows(*s_, "SELECT a, b, c, d, e FROM t ORDER BY a");
+  ASSERT_EQ(base.size(), 997u);
+  struct Agg {
+    int64_t first_a = 0;
+    int64_t count = 0;
+    int64_t sum_b = 0;
+  };
+  std::map<int64_t, Agg> by_e;
+  for (const Row& r : base) {
+    Agg& g = by_e[r[4].AsInt()];
+    if (g.count++ == 0) g.first_a = r[0].AsInt();
+    if (!r[1].is_null()) g.sum_b += r[1].AsInt();
+  }
+
+  // A raw non-key slot projected from the representative tuple.
+  std::vector<std::string> want;
+  for (const auto& [e, g] : by_e) {
+    want.push_back(
+        RowString({Value::Int(e), Value::Int(g.first_a), Value::Int(g.count)}));
+  }
+  ExpectRows(*db_, *s_, "SELECT e, a, COUNT(*) FROM t GROUP BY e ORDER BY e",
+             want, /*ordered=*/true);
+
+  // HAVING and ORDER BY on the unprojected key slot.
+  want.clear();
+  for (auto it = by_e.rbegin(); it != by_e.rend(); ++it) {
+    if (it->first == 3) continue;
+    want.push_back(RowString(
+        {Value::Int(it->second.count), Value::Int(it->second.sum_b)}));
+  }
+  ExpectRows(*db_, *s_,
+             "SELECT COUNT(*), SUM(b) FROM t GROUP BY e HAVING e <> 3 "
+             "ORDER BY e DESC",
+             want, /*ordered=*/true);
+
+  // HAVING and ORDER BY on an unprojected non-key slot (the
+  // representative's a).
+  std::vector<std::pair<int64_t, int64_t>> by_first;  // (first a, e)
+  for (const auto& [e, g] : by_e) {
+    if (g.first_a > 3) by_first.emplace_back(g.first_a, e);
+  }
+  std::sort(by_first.begin(), by_first.end());
+  want.clear();
+  for (const auto& [first_a, e] : by_first) {
+    want.push_back(RowString({Value::Int(e), Value::Int(by_e[e].count)}));
+  }
+  ExpectRows(*db_, *s_,
+             "SELECT e, COUNT(*) FROM t GROUP BY e HAVING a > 3 ORDER BY a",
+             want, /*ordered=*/true);
+
+  // Filter and ORDER BY on unprojected slots of a plain scan.
+  std::vector<Row> picked;
+  for (const Row& r : base) {
+    if (r[4].AsInt() == 2) picked.push_back(r);
+  }
+  std::stable_sort(picked.begin(), picked.end(),
+                   [](const Row& x, const Row& y) {
+                     return x[2].Compare(y[2]) > 0;
+                   });
+  want.clear();
+  for (size_t i = 0; i < 5; ++i) want.push_back(RowString({picked[i][0]}));
+  ExpectRows(*db_, *s_, "SELECT a FROM t WHERE e = 2 ORDER BY c DESC LIMIT 5",
+             want, /*ordered=*/true);
+}
+
+TEST_P(ExecParityTest, UpdateAndDeleteWriteWholeRows) {
+  // UPDATE and DELETE collect their matches through the single-table scan
+  // (full, pk range and pk point paths here); the rewritten rows must keep
+  // every column the statement does not assign.
+  std::vector<Row> rows = Rows(*s_, "SELECT a, b, c, d, e FROM t");
+  auto upd = s_->Execute("UPDATE t SET b = b + 1000 WHERE e = 3");
+  ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+  auto upd_range =
+      s_->Execute("UPDATE t SET c = 0.5 WHERE a BETWEEN 100 AND 120");
+  ASSERT_TRUE(upd_range.ok()) << upd_range.status().ToString();
+  auto del = s_->Execute("DELETE FROM t WHERE e = 4 AND b > 500");
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  auto del_point = s_->Execute("DELETE FROM t WHERE a = 10");
+  ASSERT_TRUE(del_point.ok()) << del_point.status().ToString();
+  db_->WaitReplicaCaughtUp();
+
+  int64_t updated = 0, ranged = 0, deleted = 0;
+  std::vector<std::string> want;
+  for (Row& r : rows) {
+    const int64_t a = r[0].AsInt();
+    const int64_t e = r[4].AsInt();
+    if (e == 3) {
+      ++updated;
+      if (!r[1].is_null()) r[1] = Value::Int(r[1].AsInt() + 1000);
+    }
+    if (a >= 100 && a <= 120) {
+      ++ranged;
+      r[2] = Value::Double(0.5);
+    }
+    if ((e == 4 && !r[1].is_null() && r[1].AsInt() > 500) || a == 10) {
+      ++deleted;
+      continue;
+    }
+    want.push_back(RowString(r));
+  }
+  EXPECT_EQ(upd->affected_rows, updated);
+  EXPECT_EQ(upd_range->affected_rows, ranged);
+  EXPECT_EQ(del->affected_rows + del_point->affected_rows, deleted);
+  ExpectRows(*db_, *s_, "SELECT a, b, c, d, e FROM t", want,
+             /*ordered=*/false);
+}
+
+TEST_P(ExecParityTest, OrderByLimitTiesKeepTheStableOrderPrefix) {
+  // ORDER BY e has ~142 rows per key; ties keep emission (a) order, and
+  // LIMIT k must return exactly the first k rows of that stable order.
+  std::vector<Row> base = Rows(*s_, "SELECT a, e FROM t ORDER BY a");
+  ASSERT_EQ(base.size(), 997u);
+  for (bool desc : {false, true}) {
+    std::vector<Row> sorted = base;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [&](const Row& x, const Row& y) {
+                       int c = x[1].Compare(y[1]);
+                       return desc ? c > 0 : c < 0;
+                     });
+    for (size_t limit : {size_t{0}, size_t{7}, size_t{300}, size_t{997},
+                         size_t{2000}}) {
+      std::vector<std::string> want;
+      for (size_t i = 0; i < std::min(limit, sorted.size()); ++i) {
+        want.push_back(RowString(sorted[i]));
+      }
+      ExpectRows(*db_, *s_,
+                 std::string("SELECT a, e FROM t ORDER BY e") +
+                     (desc ? " DESC" : "") + " LIMIT " +
+                     std::to_string(limit),
+                 want, /*ordered=*/true);
+    }
+  }
+  // Grouped top-k with every key tied: groups keep first-seen order.
+  ExpectRows(*db_, *s_,
+             "SELECT e, COUNT(*) FROM t WHERE a <= 700 GROUP BY e "
+             "ORDER BY 2 LIMIT 3",
+             {"1|100|", "2|100|", "3|100|"}, /*ordered=*/true);
 }
 
 TEST_P(ExecParityTest, PostDeleteSlotReuseParity) {
@@ -272,6 +455,38 @@ TEST(ExecParityChunks, CrossChunkCaseTypeFlipKeepsMinMaxExact) {
                "MAX(CASE WHEN i IS NULL THEN d2 ELSE i END) FROM m "
                "GROUP BY g ORDER BY g",
                {}, /*ordered=*/true);
+
+  // One mixed INT/DOUBLE argument under every aggregate kind: only MIN and
+  // MAX track extremes, and they must still pick the exact winner (INT 2
+  // below DOUBLE 2.4); SUM/AVG/COUNT are unaffected by the gating.
+  const std::string mixed = "CASE WHEN i IS NULL THEN d1 ELSE i END";
+  const std::string q = "SELECT g, MIN(" + mixed + "), MAX(" + mixed +
+                        "), SUM(" + mixed + "), COUNT(" + mixed + "), AVG(" +
+                        mixed + ") FROM m GROUP BY g ORDER BY g";
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "interpreter");
+    db.set_vectorized_execution(vectorized);
+    auto mm = s->Execute(q);
+    ASSERT_TRUE(mm.ok()) << mm.status().ToString();
+    EXPECT_EQ(s->last_vectorized(), vectorized);
+    ASSERT_EQ(mm->rows.size(), 3u);
+    for (int64_t g = 0; g < 3; ++g) {
+      int64_t doubles = 0, ints = 0;
+      for (int k = 0; k < 1500; ++k) {
+        if (k % 3 == g) ++(k < 1024 ? doubles : ints);
+      }
+      const Row& r = mm->rows[g];
+      EXPECT_EQ(r[1].type(), ValueType::kInt);
+      EXPECT_EQ(r[1].ToString(), "2");
+      EXPECT_EQ(r[2].type(), ValueType::kDouble);
+      EXPECT_EQ(r[2].ToString(), "2.4");
+      EXPECT_NEAR(r[3].AsDouble(), 2.4 * doubles + 2.0 * ints, 1e-9);
+      EXPECT_EQ(r[4].AsInt(), doubles + ints);
+      EXPECT_NEAR(r[5].AsDouble(),
+                  (2.4 * doubles + 2.0 * ints) / (doubles + ints), 1e-12);
+    }
+  }
+  ExpectParity(db, *s, q, {}, /*ordered=*/true);
 }
 
 TEST_P(ExecParityTest, StringPredicateFallsBackInsteadOfCrashing) {
@@ -397,6 +612,17 @@ TEST_P(JoinParityTest, JoinAggregatesAndOrdering) {
   ExpectParity(*db_, *s_,
                "SELECT DISTINCT c.region FROM ord o JOIN cust c "
                "ON o.cust_id = c.id");
+  // ~120 rows per region: tied keys keep the plan's driving order (cust,
+  // the smaller side, so the vectorized join must not swap sides), and
+  // LIMIT takes the prefix of that stable order.
+  ExpectParity(*db_, *s_,
+               "SELECT c.region, o.oid FROM cust c JOIN ord o "
+               "ON o.cust_id = c.id ORDER BY c.region",
+               {}, /*ordered=*/true);
+  ExpectParity(*db_, *s_,
+               "SELECT c.region, COUNT(*) FROM cust c JOIN ord o "
+               "ON o.cust_id = c.id GROUP BY c.region ORDER BY 2 LIMIT 3",
+               {}, /*ordered=*/true);
 }
 
 TEST_P(JoinParityTest, ThreeTableJoin) {
@@ -444,6 +670,41 @@ TEST_P(JoinParityTest, GroupRepresentativeSlotsMatchInterpreter) {
                "JOIN ord o ON o.cust_id = c.id GROUP BY c.region "
                "HAVING MAX(o.qty) > 1 ORDER BY c.region",
                {}, /*ordered=*/true);
+}
+
+TEST_P(JoinParityTest, InnerKeyReadsUnprojectedOuterSlot) {
+  // cust is probed by pk with o.cust_id, which no projection reads, and
+  // o.qty only filters: the interpreter's needed-slot fill must still
+  // carry both into the tuple.
+  std::map<int64_t, Row> cust;  // id -> (id, region, name)
+  for (Row& r : Rows(*s_, "SELECT id, region, name FROM cust")) {
+    cust[r[0].AsInt()] = r;
+  }
+  std::vector<std::string> want;
+  std::map<int64_t, std::pair<int64_t, int64_t>> by_region;  // count, qty
+  for (const Row& o : Rows(*s_, "SELECT oid, cust_id, qty FROM ord")) {
+    if (o[1].is_null()) continue;
+    auto it = cust.find(o[1].AsInt());
+    if (it == cust.end()) continue;
+    if (o[2].AsInt() == 3) want.push_back(RowString({o[0], it->second[2]}));
+    auto& agg = by_region[it->second[1].AsInt()];
+    ++agg.first;
+    agg.second += o[2].AsInt();
+  }
+  ASSERT_FALSE(want.empty());
+  ExpectRows(*db_, *s_,
+             "SELECT o.oid, c.name FROM ord o JOIN cust c "
+             "ON c.id = o.cust_id WHERE o.qty = 3",
+             want, /*ordered=*/false);
+  want.clear();
+  for (const auto& [region, agg] : by_region) {
+    want.push_back(RowString(
+        {Value::Int(region), Value::Int(agg.first), Value::Int(agg.second)}));
+  }
+  ExpectRows(*db_, *s_,
+             "SELECT c.region, COUNT(*), SUM(o.qty) FROM ord o JOIN cust c "
+             "ON c.id = o.cust_id GROUP BY c.region ORDER BY c.region",
+             want, /*ordered=*/true);
 }
 
 TEST_P(JoinParityTest, NullKeysNeverJoin) {

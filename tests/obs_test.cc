@@ -306,6 +306,28 @@ TEST_F(ObsEngineTest, ExplainAnalyzeReturnsTraceAndExecutesInner) {
   for (const Row& r : explained->rows) all += r[0].AsString() + "\n";
   EXPECT_NE(all.find("emit"), std::string::npos) << all;
 
+  // ORDER BY ... LIMIT is a top-k in both engines, and the order operator
+  // says so: every row is a candidate, only LIMIT of them are kept.
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "interpreter");
+    db.set_vectorized_execution(vectorized);
+    auto topk =
+        s->Execute("EXPLAIN ANALYZE SELECT k FROM m ORDER BY w DESC LIMIT 7");
+    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+    EXPECT_EQ(s->last_vectorized(), vectorized);
+    const obs::TraceOp* order = nullptr;
+    for (const obs::TraceOp& op : s->last_trace().ops) {
+      if (op.op == "order") order = &op;
+    }
+    ASSERT_NE(order, nullptr) << s->last_trace().ToString();
+    EXPECT_EQ(order->rows_in, 3000);
+    EXPECT_EQ(order->rows_out, 7);
+    EXPECT_NE(order->detail.find("top-k"), std::string::npos)
+        << order->detail;
+    EXPECT_EQ(s->last_trace().emitted_rows(), 7);
+  }
+  db.set_vectorized_execution(true);
+
   // EXPLAIN ANALYZE on DML executes the write (trace side effects are the
   // inner statement's side effects).
   auto dml = s->Execute(
